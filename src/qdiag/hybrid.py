@@ -496,6 +496,11 @@ def load_checkpoint(path) -> HybridModel:
         ).reshape(rows, cols)
         biases = _float_list(_field(layer_doc, "biases", where), rows, f"{where}.biases")
         layers.append(DenseLayer(weights, biases))
+    if layers[-1].out_dim != len(LABELS):
+        raise ValueError(
+            f"checkpoint's last layer has {layers[-1].out_dim} rows, but the "
+            f"label set {LABELS} needs {len(LABELS)}"
+        )
 
     try:
         return HybridModel(

@@ -190,6 +190,10 @@ def test_train_single_run_outputs(tmp_path, capsys):
     curves = (out_dir / "curves_seed7.csv").read_text().splitlines()
     assert curves[0] == "epoch,train_acc,train_loss"
     assert len(curves) == 1 + 4  # header + epochs 0..3
+    for epoch, line in enumerate(curves[1:]):
+        cells = line.split(",")
+        assert cells[0] == str(epoch)
+        assert all(0.0 <= float(c) for c in cells[1:])  # plain float reprs
     assert (out_dir / "model.json").exists()
     confusion = (out_dir / "confusion.csv").read_text().splitlines()
     assert confusion[0] == "counts,ND,OR,IR"
@@ -265,6 +269,26 @@ def test_predict_to_file(tmp_path, capsys):
     ) == 0
     assert "wrote 6 prediction(s)" in capsys.readouterr().out
     assert len(out_path.read_text().splitlines()) == 7
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command):
+    model_path = tmp_path / "model.json"
+    features_path = tmp_path / "features.csv"
+    mlp = MlpModel(
+        [DenseLayer(np.ones((4, 5)), np.zeros(4)), DenseLayer(np.ones((2, 4)), np.zeros(2))]
+    )
+    model = HybridModel(
+        NormalizerParams(np.zeros(5), np.ones(5)), PqcParams(5, np.zeros((5, 3))), mlp
+    )
+    save_checkpoint(model, model_path)
+    three_level_features_csv(features_path, per_class=2)
+    assert main([command, "--model", str(model_path), "--in", str(features_path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "last layer has 2 rows" in err[0]
+    assert captured.out == ""
 
 
 def test_eval_missing_model(tmp_path, capsys):
