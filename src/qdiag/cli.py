@@ -23,13 +23,14 @@ from .data import (
     LABELS,
     SHORT_LABELS,
     SynthConfig,
+    dataset_from_features,
     downsample,
     extract_features,
     load_features_csv,
     load_signals_csv,
     save_features_csv,
     save_signals_csv,
-    signals_to_dataset,
+    segment_signal,
     split,
     synth_generate,
 )
@@ -66,20 +67,28 @@ def _cmd_synth(args) -> int:
 
 def _cmd_features(args) -> int:
     signals = load_signals_csv(args.input)
-    dataset, skipped = signals_to_dataset(
-        signals, args.target_rate, args.length, args.overlap, extract_features
-    )
-    for i in skipped:
-        size = downsample(signals[i], args.target_rate).samples.size
-        print(
-            f"warning: block {i + 1} ({signals[i].label}) has only {size} samples "
-            f"after downsampling, needs {args.length}; skipped",
-            file=sys.stderr,
-        )
+    features = []
+    skipped = 0
+    for i, signal in enumerate(signals):
+        reduced = downsample(signal, args.target_rate)
+        if reduced.samples.size < args.length:
+            print(
+                f"warning: block {i + 1} ({signal.label}) has only "
+                f"{reduced.samples.size} samples after downsampling, "
+                f"needs {args.length}; skipped",
+                file=sys.stderr,
+            )
+            skipped += 1
+            continue
+        segments = segment_signal(reduced, args.length, args.overlap)
+        features.extend(extract_features(s) for s in segments)
+    if not features:
+        raise ValueError("no block was long enough to produce a single segment")
+    dataset = dataset_from_features(features)
     save_features_csv(dataset, args.out)
     print(
-        f"wrote {len(dataset)} feature row(s) from {len(signals) - len(skipped)} "
-        f"block(s) ({len(skipped)} skipped) to {args.out}"
+        f"wrote {len(dataset)} feature row(s) from {len(signals) - skipped} "
+        f"block(s) ({skipped} skipped) to {args.out}"
     )
     return 0
 

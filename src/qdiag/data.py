@@ -16,7 +16,6 @@ data comes in through a plain CSV bridge documented in the README.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -219,15 +218,12 @@ def signals_to_dataset(
     target_rate_hz: float = DEFAULT_TARGET_RATE_HZ,
     length: int = DEFAULT_SEGMENT_LENGTH,
     overlap: int = DEFAULT_SEGMENT_OVERLAP,
-    featurize: Callable[[Segment], FeatureVector] = extract_features,
 ) -> tuple[Dataset, list[int]]:
     """Run downsample -> segment -> featurize over a batch of records.
 
     Records too short to yield a single window are skipped, and their
     indices are returned so the caller can warn about them.  Dataset row
     order follows input order, never anything rate- or thread-dependent.
-    `featurize` maps one window to its features; the CLI passes its own
-    binding of extract_features, so replacing that binding reaches here.
     """
     features: list[FeatureVector] = []
     skipped: list[int] = []
@@ -236,7 +232,7 @@ def signals_to_dataset(
         if reduced.samples.size < length:
             skipped.append(i)
             continue
-        features.extend(featurize(s) for s in segment_signal(reduced, length, overlap))
+        features.extend(extract_features(s) for s in segment_signal(reduced, length, overlap))
     if not features:
         raise ValueError("no signal was long enough to produce a single segment")
     return dataset_from_features(features), skipped

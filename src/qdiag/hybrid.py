@@ -63,6 +63,11 @@ class HybridModel:
                 f"circuit emits {self.pqc.num_qubits} expectations but the "
                 f"network expects {self.mlp.input_dim} inputs"
             )
+        if self.mlp.output_dim != len(LABELS):
+            raise ValueError(
+                f"network emits {self.mlp.output_dim} class scores but the "
+                f"label set {LABELS} needs {len(LABELS)}"
+            )
 
     @property
     def num_classes(self) -> int:
@@ -154,13 +159,12 @@ def new_hybrid_model(
     normalizer: NormalizerParams,
     seed: int = 0,
     hidden_units: int = DEFAULT_HIDDEN_UNITS,
-    num_classes: int = len(LABELS),
 ) -> HybridModel:
     """Fresh model: circuit angles uniform in (-pi, pi), Glorot network."""
     rng = np.random.default_rng(seed)
     n = normalizer.num_features
     pqc = random_pqc_params(n, rng)
-    mlp = init_mlp((n, hidden_units, num_classes), seed=int(rng.integers(2**31 - 1)))
+    mlp = init_mlp((n, hidden_units, len(LABELS)), seed=int(rng.integers(2**31 - 1)))
     return HybridModel(normalizer, pqc, mlp)
 
 
@@ -496,11 +500,6 @@ def load_checkpoint(path) -> HybridModel:
         ).reshape(rows, cols)
         biases = _float_list(_field(layer_doc, "biases", where), rows, f"{where}.biases")
         layers.append(DenseLayer(weights, biases))
-    if layers[-1].out_dim != len(LABELS):
-        raise ValueError(
-            f"checkpoint's last layer has {layers[-1].out_dim} rows, but the "
-            f"label set {LABELS} needs {len(LABELS)}"
-        )
 
     try:
         return HybridModel(

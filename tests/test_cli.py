@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -275,19 +277,19 @@ def test_predict_to_file(tmp_path, capsys):
 def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command):
     model_path = tmp_path / "model.json"
     features_path = tmp_path / "features.csv"
-    mlp = MlpModel(
-        [DenseLayer(np.ones((4, 5)), np.zeros(4)), DenseLayer(np.ones((2, 4)), np.zeros(2))]
-    )
-    model = HybridModel(
-        NormalizerParams(np.zeros(5), np.ones(5)), PqcParams(5, np.zeros((5, 3))), mlp
-    )
-    save_checkpoint(model, model_path)
+    perfect_checkpoint(model_path)
+    doc = json.loads(model_path.read_text())
+    last = doc["mlp"]["layers"][-1]
+    last["rows"] = 2
+    last["weights"] = last["weights"][: 2 * last["cols"]]
+    last["biases"] = last["biases"][:2]
+    model_path.write_text(json.dumps(doc))
     three_level_features_csv(features_path, per_class=2)
     assert main([command, "--model", str(model_path), "--in", str(features_path)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "last layer has 2 rows" in err[0]
+    assert "network emits 2 class scores" in err[0]
     assert captured.out == ""
 
 

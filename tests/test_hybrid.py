@@ -23,7 +23,7 @@ from qdiag.hybrid import (
     train_run,
     with_parameters,
 )
-from qdiag.nn import cross_entropy
+from qdiag.nn import cross_entropy, init_mlp
 from qdiag.pqc import PqcParams, RZ_ANGLE
 
 IDENTITY_NORM = NormalizerParams(np.zeros(5), np.ones(5))
@@ -101,6 +101,12 @@ def test_model_dimension_chaining():
             NormalizerParams(np.zeros(4), np.ones(4)),
             PqcParams(5, np.zeros((5, 3))),
             new_hybrid_model(IDENTITY_NORM, seed=0).mlp,
+        )
+    with pytest.raises(ValueError, match="2 class scores"):
+        HybridModel(
+            IDENTITY_NORM,
+            PqcParams(5, np.zeros((5, 3))),
+            init_mlp((5, 4, 2), seed=0),
         )
 
 
@@ -361,9 +367,19 @@ def test_checkpoint_cross_section_mismatch(tmp_path):
     model = new_hybrid_model(IDENTITY_NORM, seed=0)
     save_checkpoint(model, path)
     doc = json.loads(path.read_text())
-    doc["pqc"] = {"num_qubits": 4, "angles": [[0.0, 0.0, 0.0]] * 4}
-    path.write_text(json.dumps(doc))
+    doc_bad = dict(doc, pqc={"num_qubits": 4, "angles": [[0.0, 0.0, 0.0]] * 4})
+    path.write_text(json.dumps(doc_bad))
     with pytest.raises(ValueError, match="internally inconsistent"):
+        load_checkpoint(path)
+
+    # A last layer with fewer rows than labels is refused at load time;
+    # HybridModel refuses it too, so save_checkpoint can never write one.
+    last = doc["mlp"]["layers"][-1]
+    last["rows"] = 2
+    last["weights"] = last["weights"][: 2 * last["cols"]]
+    last["biases"] = last["biases"][:2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="internally inconsistent.*2 class scores"):
         load_checkpoint(path)
 
 
