@@ -43,8 +43,8 @@ from .hybrid import (
     evaluate,
     hybrid_forward_batch,
     load_checkpoint,
-    multi_seed_report,
     save_checkpoint,
+    summarize_runs,
     train_run,
 )
 
@@ -93,31 +93,20 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _format_metrics_row(seed, metrics: RunMetrics) -> str:
-    return ",".join(
-        [
-            str(seed),
-            repr(metrics.final_train_accuracy),
-            repr(metrics.test_accuracy),
-            repr(metrics.final_train_loss),
-            repr(metrics.test_loss),
-        ]
-    )
-
-
-def _write_metrics_csv(path, runs: list[RunMetrics], summary: list[float]) -> None:
-    mean_tr_acc, std_tr_acc, mean_te_acc, std_te_acc = summary[:4]
-    mean_tr_loss, std_tr_loss, mean_te_loss, std_te_loss = summary[4:]
+def _write_metrics_csv(path, report: SummaryReport) -> None:
+    rows = [
+        [str(run.seed), run.final_train_accuracy, run.test_accuracy,
+         run.final_train_loss, run.test_loss]
+        for run in report.runs
+    ]
+    rows.append(["mean", report.mean_train_accuracy, report.mean_test_accuracy,
+                 report.mean_train_loss, report.mean_test_loss])
+    rows.append(["std", report.std_train_accuracy, report.std_test_accuracy,
+                 report.std_train_loss, report.std_test_loss])
     with open(path, "w", encoding="ascii") as fh:
         fh.write("seed,train_acc,test_acc,train_loss,test_loss\n")
-        for run in runs:
-            fh.write(_format_metrics_row(run.seed, run) + "\n")
-        fh.write(
-            f"mean,{mean_tr_acc!r},{mean_te_acc!r},{mean_tr_loss!r},{mean_te_loss!r}\n"
-        )
-        fh.write(
-            f"std,{std_tr_acc!r},{std_te_acc!r},{std_tr_loss!r},{std_te_loss!r}\n"
-        )
+        for name, *values in rows:
+            fh.write(",".join([name] + [repr(v) for v in values]) + "\n")
 
 
 def _write_curves_csv(path, metrics: RunMetrics) -> None:
@@ -160,45 +149,26 @@ def _cmd_train(args) -> int:
         num_runs=args.runs,
         base_seed=args.seed,
         gradient_method=args.gradient,
-        train_fraction=args.train_frac,
     )
+    config.validate()
     os.makedirs(args.out, exist_ok=True)
+    report = summarize_runs([train_run(dataset, config, seed) for seed in config.seeds()])
 
-    if args.runs == 1:
-        model, metrics = train_run(dataset, config, seed=args.seed)
-        runs = [metrics]
-        summary = [
-            metrics.final_train_accuracy, 0.0,
-            metrics.test_accuracy, 0.0,
-            metrics.final_train_loss, 0.0,
-            metrics.test_loss, 0.0,
-        ]
-        pooled = metrics.confusion
-        best_model = model
-    else:
-        report: SummaryReport = multi_seed_report(dataset, config)
-        runs = report.runs
-        summary = [
-            report.mean_train_accuracy, report.std_train_accuracy,
-            report.mean_test_accuracy, report.std_test_accuracy,
-            report.mean_train_loss, report.std_train_loss,
-            report.mean_test_loss, report.std_test_loss,
-        ]
-        pooled = report.pooled_confusion
-        best_model = report.models[report.best_run_index()]
-
-    _write_metrics_csv(os.path.join(args.out, "metrics.csv"), runs, summary)
-    for run in runs:
+    _write_metrics_csv(os.path.join(args.out, "metrics.csv"), report)
+    for run in report.runs:
         _write_curves_csv(os.path.join(args.out, f"curves_seed{run.seed}.csv"), run)
-    _write_confusion_csv(os.path.join(args.out, "confusion.csv"), pooled)
+    _write_confusion_csv(os.path.join(args.out, "confusion.csv"), report.pooled_confusion)
+    best_model = report.models[report.best_run_index()]
     save_checkpoint(best_model, os.path.join(args.out, "model.json"))
 
-    print(f"{len(runs)} run(s), {config.epochs} epochs each")
-    print(f"train accuracy: {100 * summary[0]:.1f} +/- {100 * summary[1]:.1f} %")
-    print(f"test accuracy:  {100 * summary[2]:.1f} +/- {100 * summary[3]:.1f} %")
-    print(f"train loss:     {summary[4]:.3f} +/- {summary[5]:.3f}")
-    print(f"test loss:      {summary[6]:.3f} +/- {summary[7]:.3f}")
-    _print_confusion(pooled)
+    print(f"{len(report.runs)} run(s), {config.epochs} epochs each")
+    print(f"train accuracy: {100 * report.mean_train_accuracy:.1f} "
+          f"+/- {100 * report.std_train_accuracy:.1f} %")
+    print(f"test accuracy:  {100 * report.mean_test_accuracy:.1f} "
+          f"+/- {100 * report.std_test_accuracy:.1f} %")
+    print(f"train loss:     {report.mean_train_loss:.3f} +/- {report.std_train_loss:.3f}")
+    print(f"test loss:      {report.mean_test_loss:.3f} +/- {report.std_test_loss:.3f}")
+    _print_confusion(report.pooled_confusion)
     print(f"wrote metrics, curves, confusion and model.json under {args.out}")
     return 0
 
@@ -231,7 +201,7 @@ def _cmd_predict(args) -> int:
     else:
         sys.stdout.write(text)
     accuracy = float(np.mean(predicted == dataset.labels))
-    print(f"accuracy against labels in file: {100 * accuracy:.2f} %")
+    print(f"accuracy against labels in file: {100 * accuracy:.2f} %", file=sys.stderr)
     return 0
 
 

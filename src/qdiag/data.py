@@ -96,6 +96,8 @@ class NormalizerParams:
         self.maximum = np.asarray(self.maximum, dtype=np.float64)
         if self.minimum.shape != self.maximum.shape or self.minimum.ndim != 1:
             raise ValueError("min and max must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(self.minimum)) and np.all(np.isfinite(self.maximum))):
+            raise ValueError("per-feature min and max must be finite")
         if np.any(self.maximum < self.minimum):
             raise ValueError("per-feature max must be >= min")
 

@@ -8,14 +8,13 @@ network parameters simultaneously with Adam; the gradient crosses the
 quantum/classical boundary by chaining the network's input gradient through
 the circuit's (block-diagonal) Jacobian.
 
-Checkpoints are a small JSON document with floats printed at 17
-significant digits, which round-trips IEEE doubles bit-exactly.
+Checkpoints are a small JSON document whose floats are written in Python's
+shortest round-trip repr, so a reload gives back the same IEEE doubles.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +85,6 @@ class TrainConfig:
     gradient_method: str = "shift"  # "shift" (exact) or "fd" (central differences)
     fd_step: float = 1e-4
     hidden_units: int = DEFAULT_HIDDEN_UNITS
-    train_fraction: float = 0.8
 
     def validate(self) -> None:
         if not self.learning_rate > 0:
@@ -100,10 +98,10 @@ class TrainConfig:
             )
         if not self.fd_step > 0:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+
+    def seeds(self) -> list[int]:
+        """The seeds of the num_runs runs: base_seed, base_seed + 1, ..."""
+        return [self.base_seed + i for i in range(self.num_runs)]
 
 
 @dataclass
@@ -124,9 +122,6 @@ class RunMetrics:
     test_loss: float
     confusion: np.ndarray  # (classes, classes) counts, rows = true class
 
-    def confusion_row_percent(self) -> np.ndarray:
-        return confusion_row_percent(self.confusion)
-
 
 def confusion_row_percent(confusion: np.ndarray) -> np.ndarray:
     counts = np.asarray(confusion, dtype=np.float64)
@@ -136,8 +131,8 @@ def confusion_row_percent(confusion: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SummaryReport:
-    """Aggregate over several seeded runs: per-run metrics, the four
-    mean/sample-std pairs, and the pooled confusion counts."""
+    """Aggregate over seeded runs: per-run metrics, the four mean/sample-std
+    pairs, and the pooled confusion counts."""
 
     runs: list[RunMetrics]
     models: list[HybridModel]
@@ -338,78 +333,46 @@ def train_run(
     return model, metrics
 
 
+def summarize_runs(results: list[tuple[HybridModel, RunMetrics]]) -> SummaryReport:
+    """Aggregate finished (model, metrics) runs into Table-style stats.
+
+    Std is the sample standard deviation (ddof = 1); a single run has no
+    spread and reports 0.0, with its own numbers as the means.
+    """
+    if not results:
+        raise ValueError("no runs to summarize")
+    models = [model for model, _ in results]
+    runs = [metrics for _, metrics in results]
+    stats = {}
+    for name, values in (
+        ("train_accuracy", [r.final_train_accuracy for r in runs]),
+        ("test_accuracy", [r.test_accuracy for r in runs]),
+        ("train_loss", [r.final_train_loss for r in runs]),
+        ("test_loss", [r.test_loss for r in runs]),
+    ):
+        arr = np.array(values)
+        stats[f"mean_{name}"] = float(arr.mean())
+        stats[f"std_{name}"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    pooled = np.sum([r.confusion for r in runs], axis=0)
+    return SummaryReport(runs=runs, models=models, pooled_confusion=pooled, **stats)
+
+
 def multi_seed_report(
     dataset: Dataset, config: TrainConfig, seeds: list[int] | None = None
 ) -> SummaryReport:
     """Repeat train_run over several seeds and aggregate Table-style stats.
 
-    Seeds default to base_seed, base_seed + 1, ...; pass an explicit list
-    to pin them.  Std is the sample standard deviation (ddof = 1).
+    Seeds default to config.seeds(); pass an explicit list to pin them.
     """
     config.validate()
     if seeds is None:
-        seeds = [config.base_seed + i for i in range(config.num_runs)]
+        seeds = config.seeds()
     if len(seeds) < 2:
         raise ValueError("aggregation needs at least 2 runs; call train_run for one")
-    models, runs = [], []
-    for seed in seeds:
-        model, metrics = train_run(dataset, config, seed)
-        models.append(model)
-        runs.append(metrics)
-
-    def stats(values: list[float]) -> tuple[float, float]:
-        arr = np.array(values)
-        return float(arr.mean()), float(arr.std(ddof=1))
-
-    mean_tr_acc, std_tr_acc = stats([r.final_train_accuracy for r in runs])
-    mean_te_acc, std_te_acc = stats([r.test_accuracy for r in runs])
-    mean_tr_loss, std_tr_loss = stats([r.final_train_loss for r in runs])
-    mean_te_loss, std_te_loss = stats([r.test_loss for r in runs])
-    pooled = np.sum([r.confusion for r in runs], axis=0)
-    return SummaryReport(
-        runs=runs,
-        models=models,
-        mean_train_accuracy=mean_tr_acc,
-        std_train_accuracy=std_tr_acc,
-        mean_test_accuracy=mean_te_acc,
-        std_test_accuracy=std_te_acc,
-        mean_train_loss=mean_tr_loss,
-        std_train_loss=std_tr_loss,
-        mean_test_loss=mean_te_loss,
-        std_test_loss=std_te_loss,
-        pooled_confusion=pooled,
-    )
+    return summarize_runs([train_run(dataset, config, seed) for seed in seeds])
 
 
 # --- checkpoint serialization ----------------------------------------------
-
-
-def _format_json(value, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits (bit-exact reload)."""
-    pad = "  " * indent
-    if isinstance(value, dict):
-        body = ",\n".join(
-            f"{pad}  {json.dumps(k)}: {_format_json(v, indent + 1)}"
-            for k, v in value.items()
-        )
-        return "{\n" + body + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        parts = [_format_json(v, indent + 1) for v in value]
-        if sum(len(p) for p in parts) <= 72 and not any("\n" in p for p in parts):
-            return "[" + ", ".join(parts) + "]"
-        body = ",\n".join(f"{pad}  {p}" for p in parts)
-        return "[\n" + body + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite number {value!r}")
-        return f"{float(value):.17g}"
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def save_checkpoint(model: HybridModel, path) -> None:
@@ -420,7 +383,7 @@ def save_checkpoint(model: HybridModel, path) -> None:
             "max": model.normalizer.maximum.tolist(),
         },
         "pqc": {
-            "num_qubits": model.pqc.num_qubits,
+            "num_qubits": int(model.pqc.num_qubits),
             "angles": model.pqc.angles.tolist(),
         },
         "mlp": {
@@ -436,7 +399,7 @@ def save_checkpoint(model: HybridModel, path) -> None:
         },
     }
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(_format_json(doc) + "\n")
+        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def _field(doc: dict, key: str, where: str):

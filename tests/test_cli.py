@@ -188,7 +188,9 @@ def test_train_single_run_outputs(tmp_path, capsys):
     assert metrics[0] == "seed,train_acc,test_acc,train_loss,test_loss"
     assert metrics[1].startswith("7,")
     assert metrics[2].startswith("mean,")
-    assert metrics[3].startswith("std,0.0,0.0")
+    # The mean of one run is that run exactly.
+    assert metrics[2].split(",")[1:] == metrics[1].split(",")[1:]
+    assert metrics[3] == "std,0.0,0.0,0.0,0.0"
     curves = (out_dir / "curves_seed7.csv").read_text().splitlines()
     assert curves[0] == "epoch,train_acc,train_loss"
     assert len(curves) == 1 + 4  # header + epochs 0..3
@@ -247,8 +249,9 @@ def test_predict_rows_and_accuracy(tmp_path, capsys):
     perfect_checkpoint(model_path)
     three_level_features_csv(features_path, per_class=4)
     assert main(["predict", "--model", str(model_path), "--in", str(features_path)]) == 0
-    out = capsys.readouterr().out
-    lines = [l for l in out.splitlines() if l and not l.startswith("accuracy")]
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.out == "\n".join(lines) + "\n"  # CSV rows only, nothing else
     assert lines[0] == "predicted,p_baseline,p_outer_ring,p_inner_ring,label"
     assert len(lines) == 1 + 12
     for line in lines[1:]:
@@ -256,7 +259,7 @@ def test_predict_rows_and_accuracy(tmp_path, capsys):
         assert cells[0] == cells[4]  # prediction matches the file label
         probs = np.array([float(c) for c in cells[1:4]])
         assert np.isclose(probs.sum(), 1.0, atol=1e-12)
-    assert "accuracy against labels in file: 100.00 %" in out
+    assert captured.err == "accuracy against labels in file: 100.00 %\n"
 
 
 def test_predict_to_file(tmp_path, capsys):
@@ -273,23 +276,41 @@ def test_predict_to_file(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 7
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
-def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command):
-    model_path = tmp_path / "model.json"
-    features_path = tmp_path / "features.csv"
-    perfect_checkpoint(model_path)
-    doc = json.loads(model_path.read_text())
+def drop_last_class(doc):
     last = doc["mlp"]["layers"][-1]
     last["rows"] = 2
     last["weights"] = last["weights"][: 2 * last["cols"]]
     last["biases"] = last["biases"][:2]
+    return "network emits 2 class scores"
+
+
+def nan_normalizer_min(doc):
+    doc["normalizer"]["min"][0] = float("nan")
+    return "min and max must be finite"
+
+
+@pytest.mark.parametrize(
+    "command, defect",
+    [
+        pytest.param("eval", drop_last_class, id="eval"),
+        pytest.param("predict", drop_last_class, id="predict"),
+        pytest.param("eval", nan_normalizer_min, id="eval-nan_min"),
+        pytest.param("predict", nan_normalizer_min, id="predict-nan_min"),
+    ],
+)
+def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command, defect):
+    model_path = tmp_path / "model.json"
+    features_path = tmp_path / "features.csv"
+    perfect_checkpoint(model_path)
+    doc = json.loads(model_path.read_text())
+    message = defect(doc)
     model_path.write_text(json.dumps(doc))
     three_level_features_csv(features_path, per_class=2)
     assert main([command, "--model", str(model_path), "--in", str(features_path)]) == 1
     captured = capsys.readouterr()
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
-    assert "network emits 2 class scores" in err[0]
+    assert message in err[0]
     assert captured.out == ""
 
 

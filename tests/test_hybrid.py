@@ -20,6 +20,7 @@ from qdiag.hybrid import (
     new_hybrid_model,
     quantum_features,
     save_checkpoint,
+    summarize_runs,
     train_run,
     with_parameters,
 )
@@ -274,7 +275,6 @@ def test_train_config_validation():
         dict(batch_size=0),
         dict(gradient_method="spsa"),
         dict(fd_step=0.0),
-        dict(train_fraction=1.0),
     ):
         with pytest.raises(ValueError):
             quick_config(**bad).validate()
@@ -310,6 +310,23 @@ def test_multi_seed_report_needs_two_runs():
     dataset = toy_dataset(per_class=15)
     with pytest.raises(ValueError, match="at least 2"):
         multi_seed_report(dataset, quick_config(), seeds=[0])
+
+
+def test_summarize_runs_single_run_is_that_run():
+    dataset = toy_dataset(per_class=15)
+    model, metrics = train_run(dataset, quick_config(epochs=2), seed=5)
+    report = summarize_runs([(model, metrics)])
+    assert len(report.runs) == 1 and report.runs[0] is metrics
+    assert report.models[0] is model
+    assert report.mean_train_accuracy == metrics.final_train_accuracy
+    assert report.mean_test_accuracy == metrics.test_accuracy
+    assert report.mean_train_loss == metrics.final_train_loss
+    assert report.mean_test_loss == metrics.test_loss
+    assert report.std_train_accuracy == report.std_test_accuracy == 0.0
+    assert report.std_train_loss == report.std_test_loss == 0.0
+    assert np.array_equal(report.pooled_confusion, metrics.confusion)
+    with pytest.raises(ValueError, match="no runs"):
+        summarize_runs([])
 
 
 # --- checkpoints ----------------------------------------------------------
@@ -380,6 +397,18 @@ def test_checkpoint_cross_section_mismatch(tmp_path):
     last["biases"] = last["biases"][:2]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="internally inconsistent.*2 class scores"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -float("inf")])
+def test_checkpoint_non_finite_normalizer_bounds(tmp_path, bad):
+    path = tmp_path / "model.json"
+    model = new_hybrid_model(IDENTITY_NORM, seed=0)
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    doc["normalizer"]["min"][2] = bad  # max < min is False for both
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="must be finite"):
         load_checkpoint(path)
 
 
