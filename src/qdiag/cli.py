@@ -148,7 +148,6 @@ def _cmd_train(args) -> int:
         batch_size=args.batch,
         num_runs=args.runs,
         base_seed=args.seed,
-        gradient_method=args.gradient,
     )
     config.validate()
     os.makedirs(args.out, exist_ok=True)
@@ -259,8 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=150, help="epochs per run")
     p.add_argument("--batch", type=int, default=32, help="mini-batch size")
     p.add_argument("--runs", type=int, default=25, help="number of seeded runs")
-    p.add_argument("--gradient", choices=("shift", "fd"), default="shift",
-                   help="circuit gradient rule (default shift)")
     p.add_argument("--train-frac", type=float, default=0.8, dest="train_frac",
                    help="training share of the split (default 0.8)")
     p.set_defaults(handler=_cmd_train)

@@ -16,7 +16,7 @@ data comes in through a plain CSV bridge documented in the README.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -313,6 +313,10 @@ class SynthConfig:
     ring_decay_s: float = 0.001
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.signals_per_class < 1:
             raise ValueError("signals_per_class must be at least 1")
         if not 1 <= self.num_classes <= len(LABELS):

@@ -82,22 +82,13 @@ class TrainConfig:
     batch_size: int = 32
     num_runs: int = 25
     base_seed: int = 0
-    gradient_method: str = "shift"  # "shift" (exact) or "fd" (central differences)
-    fd_step: float = 1e-4
-    hidden_units: int = DEFAULT_HIDDEN_UNITS
 
     def validate(self) -> None:
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("epochs", "batch_size", "num_runs", "hidden_units"):
+        for name in ("epochs", "batch_size", "num_runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.gradient_method not in ("shift", "fd"):
-            raise ValueError(
-                f"gradient_method must be 'shift' or 'fd', got {self.gradient_method!r}"
-            )
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
     def seeds(self) -> list[int]:
         """The seeds of the num_runs runs: base_seed, base_seed + 1, ..."""
@@ -222,18 +213,14 @@ def with_parameters(model: HybridModel, params: list[np.ndarray]) -> HybridModel
 
 
 def hybrid_gradients(
-    model: HybridModel,
-    features,
-    labels,
-    gradient_method: str = "shift",
-    fd_step: float = 1e-4,
+    model: HybridModel, features, labels
 ) -> tuple[list[np.ndarray], float]:
     """Mean-loss gradients for every trainable array, plus the loss itself.
 
     Network gradients are analytic.  Circuit gradients chain the network's
-    per-sample input gradient through the circuit Jacobian (parameter-shift
-    by default), then sum over the batch; the 1/batch factor already rides
-    on the input gradient.
+    per-sample input gradient through the parameter-shift circuit Jacobian,
+    then sum over the batch; the 1/batch factor already rides on the input
+    gradient.
     """
     batch = _as_feature_batch(model, features)
     labels = np.asarray(labels)
@@ -244,7 +231,7 @@ def hybrid_gradients(
     probs, cache = mlp_forward_batch(model.mlp, expectations)
     loss = _mean_cross_entropy(probs, labels)
     mlp_grads = mlp_backward_batch(model.mlp, cache, labels)
-    jac = pqc_jacobian_batch(normed, model.pqc, method=gradient_method, step=fd_step)
+    jac = pqc_jacobian_batch(normed, model.pqc)
     angle_grads = np.einsum("bq,bqk->qk", mlp_grads.inputs, jac)
     grads = [angle_grads]
     for w, b in zip(mlp_grads.weights, mlp_grads.biases):
@@ -291,9 +278,7 @@ def train_run(
 
     rng = np.random.default_rng(seed)
     normalizer = fit_normalizer(train_x)
-    model = new_hybrid_model(
-        normalizer, seed=int(rng.integers(2**31 - 1)), hidden_units=config.hidden_units
-    )
+    model = new_hybrid_model(normalizer, seed=int(rng.integers(2**31 - 1)))
     params = model_parameters(model)
     opt_state = adam_init(params, lr=config.learning_rate)
 
@@ -307,13 +292,7 @@ def train_run(
         order = rng.permutation(n_train)
         for lo in range(0, n_train, config.batch_size):
             pick = order[lo : lo + config.batch_size]
-            grads, _ = hybrid_gradients(
-                model,
-                train_x[pick],
-                train_y[pick],
-                gradient_method=config.gradient_method,
-                fd_step=config.fd_step,
-            )
+            grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
             params, opt_state = adam_step(params, grads, opt_state)
             model = with_parameters(model, params)
         epoch_eval = evaluate(model, train_x, train_y)
@@ -409,10 +388,23 @@ def _field(doc: dict, key: str, where: str):
 
 
 def _float_list(values, expect: int, where: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (expect,):
+    """A flat JSON list of exactly `expect` numbers, as float64.
+
+    Checkpoint numbers are checked by exact type, here and for the integer
+    fields: JSON true/false load as bool, which isinstance counts as int.
+    """
+    if not (
+        isinstance(values, list)
+        and len(values) == expect
+        and all(type(v) in (int, float) for v in values)
+    ):
         raise ValueError(f"checkpoint field {where} must hold {expect} numbers")
-    return arr
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(
+            f"checkpoint field {where} holds an integer too large for a double"
+        ) from None
 
 
 def load_checkpoint(path) -> HybridModel:
@@ -425,27 +417,30 @@ def load_checkpoint(path) -> HybridModel:
                 f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
     version = _field(doc, "version", "$")
-    if version != CHECKPOINT_VERSION:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")
 
     norm_doc = _field(doc, "normalizer", "$")
-    minimum = np.asarray(_field(norm_doc, "min", "normalizer"), dtype=np.float64)
+    min_doc = _field(norm_doc, "min", "normalizer")
+    if not isinstance(min_doc, list) or not min_doc:
+        raise ValueError("checkpoint field normalizer.min must be a flat number list")
+    minimum = _float_list(min_doc, len(min_doc), "normalizer.min")
     maximum = _float_list(
         _field(norm_doc, "max", "normalizer"), minimum.size, "normalizer.max"
     )
-    if minimum.ndim != 1 or minimum.size == 0:
-        raise ValueError("checkpoint field normalizer.min must be a flat number list")
 
     pqc_doc = _field(doc, "pqc", "$")
     num_qubits = _field(pqc_doc, "num_qubits", "pqc")
-    if not isinstance(num_qubits, int):
+    if type(num_qubits) is not int:
         raise ValueError("checkpoint field pqc.num_qubits must be an integer")
-    angles = np.asarray(_field(pqc_doc, "angles", "pqc"), dtype=np.float64)
-    if angles.shape != (num_qubits, 3):
+    angle_rows = _field(pqc_doc, "angles", "pqc")
+    if not isinstance(angle_rows, list) or len(angle_rows) != num_qubits:
         raise ValueError(
-            f"checkpoint field pqc.angles must be {num_qubits} rows of 3 angles, "
-            f"got shape {angles.shape}"
+            f"checkpoint field pqc.angles must be {num_qubits} rows of 3 angles"
         )
+    angles = np.array(
+        [_float_list(row, 3, f"pqc.angles[{q}]") for q, row in enumerate(angle_rows)]
+    )
 
     mlp_doc = _field(doc, "mlp", "$")
     layer_docs = _field(mlp_doc, "layers", "mlp")
@@ -456,7 +451,7 @@ def load_checkpoint(path) -> HybridModel:
         where = f"mlp.layers[{i}]"
         rows = _field(layer_doc, "rows", where)
         cols = _field(layer_doc, "cols", where)
-        if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
             raise ValueError(f"checkpoint field {where} has invalid rows/cols")
         weights = _float_list(
             _field(layer_doc, "weights", where), rows * cols, f"{where}.weights"

@@ -20,6 +20,11 @@ import numpy as np
 # prediction costs at most -ln(1e-12) instead of infinity.
 PROB_FLOOR = 1e-12
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class DenseLayer:
@@ -212,9 +217,6 @@ class AdamState:
     """First/second moment accumulators plus the step counter."""
 
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
@@ -241,19 +243,11 @@ def adam_step(
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(
-        lr=state.lr,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        eps=state.eps,
-        step_count=t,
-        m=new_m,
-        v=new_v,
-    )
+    return new_params, AdamState(lr=state.lr, step_count=t, m=new_m, v=new_v)

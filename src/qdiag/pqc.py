@@ -17,8 +17,8 @@ Gradients come from the parameter-shift rule
 
     d<Z>/d(angle) = (f(angle + pi/2) - f(angle - pi/2)) / 2
 
-which is exact for these rotation gates, or from central finite
-differences for cross-checking.
+which is exact for these rotation gates.  Central finite differences
+(`pqc_gradient_finite_difference`) are an independent oracle for it.
 """
 
 from __future__ import annotations
@@ -169,34 +169,24 @@ def pqc_expectations_batch(batch, params: PqcParams) -> np.ndarray:
     return np.cos(angles[:, RX_ANGLE]) * np.cos(np.pi * batch + angles[:, RY_ANGLE])
 
 
-def pqc_jacobian_batch(
-    batch, params: PqcParams, method: str = "shift", step: float = 1e-4
-) -> np.ndarray:
+def pqc_jacobian_batch(batch, params: PqcParams) -> np.ndarray:
     """Diagonal Jacobian blocks d<Z_i>/d(angles[i, k]) for a batch.
 
     Returns shape (batch, n, 3).  Because expectation i depends only on
     row i of the angle table, shifting one column across every row at once
-    yields all diagonal entries for that column in a single batched pass:
-    six passes total for the shift rule, six per step size for differences.
+    yields all diagonal entries for that column in a single batched pass of
+    the parameter-shift rule: six passes in all, each of which validates
+    the batch.
     """
-    if method == "shift":
-        delta, denom = PARAM_SHIFT, 2.0
-    elif method == "fd":
-        if not step > 0.0:
-            raise ValueError(f"finite-difference step must be positive, got {step}")
-        delta, denom = step, 2.0 * step
-    else:
-        raise ValueError(f"unknown gradient method {method!r}, use 'shift' or 'fd'")
-    batch = _check_batch(batch, params)
-    jac = np.empty((batch.shape[0], params.num_qubits, 3))
+    columns = []
     for k in range(3):
         shift = np.zeros((params.num_qubits, 3))
-        shift[:, k] = delta
+        shift[:, k] = PARAM_SHIFT
         plus = pqc_expectations_batch(
             batch, PqcParams(params.num_qubits, params.angles + shift)
         )
         minus = pqc_expectations_batch(
             batch, PqcParams(params.num_qubits, params.angles - shift)
         )
-        jac[:, :, k] = (plus - minus) / denom
-    return jac
+        columns.append((plus - minus) / 2.0)
+    return np.stack(columns, axis=-1)

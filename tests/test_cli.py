@@ -99,9 +99,12 @@ def test_synth_different_seed_changes_output(tmp_path):
 
 def test_synth_rejects_bad_flags(tmp_path, capsys):
     out = tmp_path / "x.csv"
-    assert main(["synth", "--noise", "-1", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-    assert not out.exists()
+    for flag, value in (("--noise", "-1"), ("--duration", "inf"), ("--rate", "inf"),
+                        ("--noise", "nan")):
+        assert main(["synth", flag, value, "--out", str(out)]) == 1, flag + value
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert not out.exists()
 
 
 # --- features -----------------------------------------------------------------
@@ -212,17 +215,6 @@ def test_train_runs_are_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_train_gradient_methods_land_close(tmp_path):
-    a = run_train(tmp_path, "shift", ["--runs", "1", "--gradient", "shift"])
-    b = run_train(tmp_path, "fd", ["--runs", "1", "--gradient", "fd"])
-
-    def test_acc(out_dir):
-        row = (out_dir / "metrics.csv").read_text().splitlines()[1]
-        return float(row.split(",")[2])
-
-    assert abs(test_acc(a) - test_acc(b)) <= 0.01
-
-
 def test_train_missing_input(tmp_path, capsys):
     assert main(["train", "--in", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -289,6 +281,34 @@ def nan_normalizer_min(doc):
     return "min and max must be finite"
 
 
+def object_in_normalizer_max(doc):
+    doc["normalizer"]["max"][0] = {}
+    return "normalizer.max must hold 5 numbers"
+
+
+def huge_int_in_normalizer_max(doc):
+    doc["normalizer"]["max"][0] = 10**400  # a JSON number, but no double holds it
+    return "normalizer.max holds an integer too large for a double"
+
+
+def bool_layer_rows(doc):
+    last = doc["mlp"]["layers"][-1]
+    last["rows"] = True  # a bool is an int to Python, so 1 row would pass
+    last["weights"] = last["weights"][: last["cols"]]
+    last["biases"] = last["biases"][:1]
+    return "mlp.layers[1] has invalid rows/cols"
+
+
+def string_normalizer_min(doc):
+    doc["normalizer"]["min"] = [repr(v) for v in doc["normalizer"]["min"]]
+    return "normalizer.min must hold 5 numbers"
+
+
+def bool_biases(doc):
+    doc["mlp"]["layers"][-1]["biases"] = [True, True, True]
+    return "mlp.layers[1].biases must hold 3 numbers"
+
+
 @pytest.mark.parametrize(
     "command, defect",
     [
@@ -296,6 +316,11 @@ def nan_normalizer_min(doc):
         pytest.param("predict", drop_last_class, id="predict"),
         pytest.param("eval", nan_normalizer_min, id="eval-nan_min"),
         pytest.param("predict", nan_normalizer_min, id="predict-nan_min"),
+        pytest.param("eval", object_in_normalizer_max, id="eval-object_max"),
+        pytest.param("eval", huge_int_in_normalizer_max, id="eval-huge_max"),
+        pytest.param("eval", bool_layer_rows, id="eval-bool_rows"),
+        pytest.param("eval", string_normalizer_min, id="eval-string_min"),
+        pytest.param("eval", bool_biases, id="eval-bool_biases"),
     ],
 )
 def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command, defect):

@@ -206,21 +206,15 @@ def test_batch_jacobian_matches_per_sample_diagonal():
     rng = np.random.default_rng(83)
     params = random_pqc_params(4, rng)
     batch = rng.uniform(0.0, 1.0, size=(7, 4))
-    # fd entries carry an eps/h rounding floor, so that route gets slack.
-    for method, tol in (("shift", 1e-12), ("fd", 1e-10)):
-        fast = pqc_jacobian_batch(batch, params, method=method, step=1e-4)
-        for b, row in enumerate(batch):
-            if method == "shift":
-                full = pqc_gradient_parameter_shift(row, params)
-            else:
-                full = pqc_gradient_finite_difference(row, params, step=1e-4)
-            diag = full[np.arange(4), np.arange(4), :]
-            assert np.max(np.abs(fast[b] - diag)) < tol
-        # Shifting Rz leaves the readout bit-identical, so its column is exactly 0.
-        assert np.all(fast[:, :, RZ_ANGLE] == 0.0)
-
-
-def test_batch_jacobian_rejects_unknown_method():
-    params = PqcParams(2, np.zeros((2, 3)))
-    with pytest.raises(ValueError, match="gradient method"):
-        pqc_jacobian_batch(np.zeros((1, 2)), params, method="adjoint")
+    fast = pqc_jacobian_batch(batch, params)
+    for b, row in enumerate(batch):
+        full = pqc_gradient_parameter_shift(row, params)
+        diag = full[np.arange(4), np.arange(4), :]
+        assert np.max(np.abs(fast[b] - diag)) < 1e-12
+    # Shifting Rz leaves the readout bit-identical, so its column is exactly 0.
+    assert np.all(fast[:, :, RZ_ANGLE] == 0.0)
+    # The batch is validated by the readout passes the Jacobian makes.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        pqc_jacobian_batch(np.full((2, 4), 1.5), params)
+    with pytest.raises(ValueError, match="batch has shape"):
+        pqc_jacobian_batch(np.zeros((2, 3)), params)
