@@ -43,7 +43,7 @@ from .hybrid import (
     summarize_runs,
     train_run,
 )
-from .nn import MlpModel, adam_init, adam_step, init_mlp, mlp_backward, mlp_forward
+from .nn import MlpModel, adam_init, adam_step, init_mlp
 from .pqc import (
     PqcParams,
     pqc_forward,

@@ -54,7 +54,6 @@ _SHORT = [SHORT_LABELS[name] for name in LABELS]
 def _cmd_synth(args) -> int:
     config = SynthConfig(
         signals_per_class=args.per_class,
-        num_classes=args.classes,
         duration_s=args.duration,
         sample_rate_hz=args.rate,
         noise_std=args.noise,
@@ -215,8 +214,15 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flag errors end like every other failure: one `error:` line, exit 1."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdiag",
         description="Hybrid quantum-classical classifier for bearing vibration data.",
     )
@@ -227,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="signals.csv", help="output signal CSV")
     p.add_argument("--per-class", type=int, default=6, dest="per_class",
                    help="records per class (default 6)")
-    p.add_argument("--classes", type=int, default=3,
-                   help="number of classes, 1..3 (default 3)")
     p.add_argument("--duration", type=float, default=6.0,
                    help="record length in seconds (default 6.0)")
     p.add_argument("--rate", type=float, default=97656.0,

@@ -291,26 +291,31 @@ def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> Datas
     return Dataset(dataset.features, dataset.labels, mask)
 
 
+# The fixed synthetic rig: a shaft tone plus, for the fault classes, a
+# ringing impulse train at the outer- or inner-ring fault frequency.
+LOAD_LBS = 270.0
+SHAFT_HZ = 25.0
+SHAFT_AMPLITUDE = 1.0
+AMPLITUDE_JITTER = 0.1  # relative, per signal and per impulse
+OUTER_FAULT_HZ = 81.0
+INNER_FAULT_HZ = 118.0
+OUTER_IMPULSE_AMPLITUDE = 1.2
+INNER_IMPULSE_AMPLITUDE = 2.2
+INNER_MODULATION_DEPTH = 0.5
+RING_HZ = 2500.0
+RING_DECAY_S = 0.001
+
+
 @dataclass
 class SynthConfig:
-    """Knobs of the synthetic rig; defaults give three separable classes."""
+    """Size and noise of a synthetic batch; defaults give three separable
+    classes.  The rig itself is fixed by the module constants above."""
 
     signals_per_class: int = 6
     num_classes: int = 3
     duration_s: float = 6.0
     sample_rate_hz: float = 97656.0
-    load_lbs: float = 270.0
-    shaft_hz: float = 25.0
-    shaft_amplitude: float = 1.0
-    amplitude_jitter: float = 0.1  # relative, per signal and per impulse
     noise_std: float = 0.1
-    outer_fault_hz: float = 81.0
-    inner_fault_hz: float = 118.0
-    outer_impulse_amplitude: float = 1.2
-    inner_impulse_amplitude: float = 2.2
-    inner_modulation_depth: float = 0.5
-    ring_hz: float = 2500.0
-    ring_decay_s: float = 0.001
 
     def validate(self) -> None:
         for f in fields(self):
@@ -321,34 +326,18 @@ class SynthConfig:
             raise ValueError("signals_per_class must be at least 1")
         if not 1 <= self.num_classes <= len(LABELS):
             raise ValueError(f"num_classes must be in [1, {len(LABELS)}]")
-        positive = {
-            "duration_s": self.duration_s,
-            "sample_rate_hz": self.sample_rate_hz,
-            "shaft_hz": self.shaft_hz,
-            "shaft_amplitude": self.shaft_amplitude,
-            "outer_fault_hz": self.outer_fault_hz,
-            "inner_fault_hz": self.inner_fault_hz,
-            "outer_impulse_amplitude": self.outer_impulse_amplitude,
-            "inner_impulse_amplitude": self.inner_impulse_amplitude,
-            "ring_hz": self.ring_hz,
-            "ring_decay_s": self.ring_decay_s,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("duration_s", "sample_rate_hz"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not 0.0 <= self.amplitude_jitter < 1.0:
-            raise ValueError("amplitude_jitter must lie in [0, 1)")
-        if not 0.0 <= self.inner_modulation_depth <= 1.0:
-            raise ValueError("inner_modulation_depth must lie in [0, 1]")
 
 
 def _ring_kernel(config: SynthConfig) -> np.ndarray:
     """Exponentially decaying burst excited by each fault impact."""
-    n = max(int(round(8.0 * config.ring_decay_s * config.sample_rate_hz)), 2)
+    n = max(int(round(8.0 * RING_DECAY_S * config.sample_rate_hz)), 2)
     t = np.arange(n) / config.sample_rate_hz
-    return np.exp(-t / config.ring_decay_s) * np.sin(2.0 * np.pi * config.ring_hz * t)
+    return np.exp(-t / RING_DECAY_S) * np.sin(2.0 * np.pi * RING_HZ * t)
 
 
 def _add_impulses(
@@ -366,14 +355,12 @@ def _add_impulses(
     times = np.arange(0.5 * period, config.duration_s, period)
     times = times + rng.uniform(-0.1, 0.1, size=times.size) * period
     heights = amplitude * (
-        1.0 + config.amplitude_jitter * rng.uniform(-1.0, 1.0, size=times.size)
+        1.0 + AMPLITUDE_JITTER * rng.uniform(-1.0, 1.0, size=times.size)
     )
     if modulation_depth > 0.0:
         # Impulse strength follows the load zone once per shaft revolution.
         heights = heights * (
-            1.0
-            + modulation_depth
-            * np.sin(2.0 * np.pi * config.shaft_hz * times + shaft_phase)
+            1.0 + modulation_depth * np.sin(2.0 * np.pi * SHAFT_HZ * times + shaft_phase)
         )
     n = out.size
     for t, h in zip(times, heights):
@@ -388,23 +375,20 @@ def _synth_one(config: SynthConfig, rng: np.random.Generator, label: str) -> Raw
     n = int(round(config.duration_s * config.sample_rate_hz))
     t = np.arange(n) / config.sample_rate_hz
     shaft_phase = rng.uniform(0.0, 2.0 * np.pi)
-    amplitude = config.shaft_amplitude * (
-        1.0 + config.amplitude_jitter * rng.uniform(-1.0, 1.0)
-    )
-    out = amplitude * np.sin(2.0 * np.pi * config.shaft_hz * t + shaft_phase)
+    amplitude = SHAFT_AMPLITUDE * (1.0 + AMPLITUDE_JITTER * rng.uniform(-1.0, 1.0))
+    out = amplitude * np.sin(2.0 * np.pi * SHAFT_HZ * t + shaft_phase)
     if config.noise_std > 0.0:
         out = out + rng.normal(0.0, config.noise_std, size=n)
     if label == "outer_ring":
         _add_impulses(
-            out, config, rng, config.outer_fault_hz,
-            config.outer_impulse_amplitude, 0.0, shaft_phase,
+            out, config, rng, OUTER_FAULT_HZ, OUTER_IMPULSE_AMPLITUDE, 0.0, shaft_phase
         )
     elif label == "inner_ring":
         _add_impulses(
-            out, config, rng, config.inner_fault_hz,
-            config.inner_impulse_amplitude, config.inner_modulation_depth, shaft_phase,
+            out, config, rng, INNER_FAULT_HZ,
+            INNER_IMPULSE_AMPLITUDE, INNER_MODULATION_DEPTH, shaft_phase,
         )
-    return RawSignal(out, config.sample_rate_hz, label, config.load_lbs)
+    return RawSignal(out, config.sample_rate_hz, label, LOAD_LBS)
 
 
 def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:

@@ -15,6 +15,7 @@ shortest round-trip repr, so a reload gives back the same IEEE doubles.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,8 +85,10 @@ class TrainConfig:
     base_seed: int = 0
 
     def validate(self) -> None:
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ValueError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
         for name in ("epochs", "batch_size", "num_runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -265,6 +268,12 @@ def _check_split_classes(labels: np.ndarray, side: str) -> None:
         raise ValueError(f"{side} split is missing class(es): {', '.join(missing)}")
 
 
+def _diverged(epoch: int, config: TrainConfig) -> ValueError:
+    return ValueError(
+        f"training diverged in epoch {epoch} at learning rate {config.learning_rate!r}"
+    )
+
+
 def train_run(
     dataset: Dataset, config: TrainConfig, seed: int
 ) -> tuple[HybridModel, RunMetrics]:
@@ -288,15 +297,23 @@ def train_run(
     start_eval = evaluate(model, train_x, train_y)
     curve_acc[0], curve_loss[0] = start_eval.accuracy, start_eval.loss
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(n_train)
-        for lo in range(0, n_train, config.batch_size):
-            pick = order[lo : lo + config.batch_size]
-            grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
-            params, opt_state = adam_step(params, grads, opt_state)
-            model = with_parameters(model, params)
-        epoch_eval = evaluate(model, train_x, train_y)
-        curve_acc[epoch], curve_loss[epoch] = epoch_eval.accuracy, epoch_eval.loss
+    # Too large a learning rate overflows in the network; that is reported
+    # once, as divergence, instead of as numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(n_train)
+            for lo in range(0, n_train, config.batch_size):
+                pick = order[lo : lo + config.batch_size]
+                grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
+                params, opt_state = adam_step(params, grads, opt_state)
+                try:
+                    model = with_parameters(model, params)
+                except ValueError:  # shapes are fixed, so only non-finite values
+                    raise _diverged(epoch, config) from None
+            epoch_eval = evaluate(model, train_x, train_y)
+            if not math.isfinite(epoch_eval.loss):
+                raise _diverged(epoch, config)
+            curve_acc[epoch], curve_loss[epoch] = epoch_eval.accuracy, epoch_eval.loss
 
     test_eval = evaluate(model, test_x, test_y)
     metrics = RunMetrics(

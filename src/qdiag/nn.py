@@ -138,18 +138,18 @@ class MlpGradients:
     inputs: np.ndarray
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
-        return x[None, :], True
+        return x[None, :]
     if x.ndim == 2:
-        return x, False
+        return x
     raise ValueError(f"expected a vector or a batch of vectors, got shape {x.shape}")
 
 
 def mlp_forward_batch(model: MlpModel, batch) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for a (batch, input_dim) array."""
-    batch, _ = _as_batch(batch)
+    batch = _as_batch(batch)
     if batch.shape[1] != model.input_dim:
         raise ValueError(
             f"input width {batch.shape[1]} does not match model input "
@@ -166,15 +166,6 @@ def mlp_forward_batch(model: MlpModel, batch) -> tuple[np.ndarray, ForwardCache]
         a = z if i == len(model.layers) - 1 else elu(z)
     probs = softmax(a)
     return probs, ForwardCache(inputs, pre_acts, probs)
-
-
-def mlp_forward(model: MlpModel, x) -> tuple[np.ndarray, ForwardCache]:
-    """Single-sample wrapper around the batched forward."""
-    x, was_vector = _as_batch(x)
-    if not was_vector:
-        raise ValueError("mlp_forward takes one sample; use mlp_forward_batch")
-    probs, cache = mlp_forward_batch(model, x)
-    return probs[0], cache
 
 
 def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradients:
@@ -204,12 +195,6 @@ def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradi
         if i > 0:
             delta = delta * elu_grad(cache.pre_acts[i - 1])
     return MlpGradients(weight_grads, bias_grads, delta)
-
-
-def mlp_backward(model: MlpModel, cache: ForwardCache, label: int) -> MlpGradients:
-    """Single-sample gradients; the input gradient comes back as a vector."""
-    grads = mlp_backward_batch(model, cache, np.array([label]))
-    return MlpGradients(grads.weights, grads.biases, grads.inputs[0])
 
 
 @dataclass

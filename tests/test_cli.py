@@ -215,6 +215,18 @@ def test_train_runs_are_reproducible(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+@pytest.mark.parametrize("lr", ["inf", "1e308"])
+def test_train_bad_learning_rate_is_one_error_line(tmp_path, capsys, lr):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--runs", "1", "--epochs", "2", "--lr", lr]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "learning" in err[0], err
+
+
 def test_train_missing_input(tmp_path, capsys):
     assert main(["train", "--in", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -363,6 +375,10 @@ def test_gradcheck_corrupt_fails(capsys):
     assert "gradient checks FAILED" in out
 
 
-def test_unknown_command_exits_nonzero():
-    with pytest.raises(SystemExit):
-        main(["frobnicate"])
+def test_unknown_command_exits_nonzero(capsys):
+    for argv in (["frobnicate"], ["train", "--lr", "abc"], ["synth", "--classes", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), (argv, err)

@@ -259,6 +259,7 @@ def test_train_run_requires_a_split():
 def test_train_config_validation():
     for bad in (
         dict(learning_rate=0.0),
+        dict(learning_rate=float("inf")),
         dict(epochs=0),
         dict(batch_size=0),
     ):

@@ -14,9 +14,7 @@ from qdiag.nn import (
     elu,
     elu_grad,
     init_mlp,
-    mlp_backward,
     mlp_backward_batch,
-    mlp_forward,
     mlp_forward_batch,
     softmax,
 )
@@ -155,17 +153,17 @@ def test_forward_zero_model_is_uniform():
             DenseLayer(np.zeros((3, 10)), np.zeros(3)),
         ]
     )
-    probs, _ = mlp_forward(model, np.zeros(5))
-    assert np.allclose(probs, [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
+    probs, _ = mlp_forward_batch(model, np.zeros((1, 5)))
+    assert np.allclose(probs[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_forward_single_layer_matches_hand_computation():
     w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     model = MlpModel([DenseLayer(w, np.array([0.0, 0.5, -0.5]))])
     x = np.array([0.2, -0.3])
-    probs, cache = mlp_forward(model, x)
+    probs, cache = mlp_forward_batch(model, x[None])
     logits = w @ x + np.array([0.0, 0.5, -0.5])
-    assert np.allclose(probs, softmax(logits), atol=1e-15)
+    assert np.allclose(probs[0], softmax(logits), atol=1e-15)
     assert np.allclose(cache.pre_acts[0][0], logits, atol=1e-15)
 
 
@@ -175,8 +173,8 @@ def test_forward_batch_matches_per_sample():
     batch = rng.normal(size=(8, 5))
     probs, _ = mlp_forward_batch(model, batch)
     for i, row in enumerate(batch):
-        single, _ = mlp_forward(model, row)
-        assert np.allclose(probs[i], single, atol=1e-14)
+        single, _ = mlp_forward_batch(model, row[None])
+        assert np.allclose(probs[i], single[0], atol=1e-14)
 
 
 def test_forward_input_validation():
@@ -184,9 +182,7 @@ def test_forward_input_validation():
     with pytest.raises(ValueError, match="width"):
         mlp_forward_batch(model, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="finite"):
-        mlp_forward(model, np.array([np.nan, 0, 0, 0, 0]))
-    with pytest.raises(ValueError, match="one sample"):
-        mlp_forward(model, np.zeros((2, 5)))
+        mlp_forward_batch(model, np.array([[np.nan, 0, 0, 0, 0]]))
 
 
 # --- backward pass --------------------------------------------------------
@@ -201,8 +197,8 @@ def test_backward_zero_model_example():
             DenseLayer(np.zeros((3, 10)), np.zeros(3)),
         ]
     )
-    _, cache = mlp_forward(model, np.ones(5))
-    grads = mlp_backward(model, cache, 0)
+    _, cache = mlp_forward_batch(model, np.ones((1, 5)))
+    grads = mlp_backward_batch(model, cache, np.array([0]))
     assert np.allclose(grads.biases[1], [1 / 3 - 1, 1 / 3, 1 / 3], atol=1e-15)
     assert np.allclose(grads.weights[1], 0.0)
     assert np.allclose(grads.weights[0], 0.0)
@@ -213,12 +209,12 @@ def test_backward_single_layer_weight_gradient():
     # For a bare softmax layer the weight gradient is (p - onehot) outer x.
     model = MlpModel([DenseLayer(np.zeros((3, 2)), np.zeros(3))])
     x = np.array([2.0, -1.0])
-    probs, cache = mlp_forward(model, x)
-    grads = mlp_backward(model, cache, 1)
-    delta = probs - np.array([0.0, 1.0, 0.0])
+    probs, cache = mlp_forward_batch(model, x[None])
+    grads = mlp_backward_batch(model, cache, np.array([1]))
+    delta = probs[0] - np.array([0.0, 1.0, 0.0])
     assert np.allclose(grads.weights[0], np.outer(delta, x), atol=1e-15)
     assert np.allclose(grads.biases[0], delta, atol=1e-15)
-    assert np.allclose(grads.inputs, delta @ model.layers[0].weights, atol=1e-15)
+    assert np.allclose(grads.inputs[0], delta @ model.layers[0].weights, atol=1e-15)
 
 
 def test_backward_batch_averages_per_sample_gradients():
@@ -230,8 +226,8 @@ def test_backward_batch_averages_per_sample_gradients():
     grads = mlp_backward_batch(model, cache, labels)
     acc_w = [np.zeros_like(l.weights) for l in model.layers]
     for row, label in zip(batch, labels):
-        _, c1 = mlp_forward(model, row)
-        g1 = mlp_backward(model, c1, int(label))
+        _, c1 = mlp_forward_batch(model, row[None])
+        g1 = mlp_backward_batch(model, c1, np.array([label]))
         for i in range(len(acc_w)):
             acc_w[i] += g1.weights[i] / len(batch)
     for i in range(len(acc_w)):
