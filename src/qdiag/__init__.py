@@ -52,11 +52,9 @@ from .pqc import (
     random_pqc_params,
 )
 from .sim import (
-    BlochAngles,
     QuantumState,
     apply_cnot,
     apply_single_qubit_gate,
-    bloch_angles,
     expectation_z,
     gate_cnot,
     gate_h,
@@ -65,8 +63,6 @@ from .sim import (
     gate_rz,
     new_zero_state,
     probabilities,
-    state_from_bloch,
-    tensor_product,
 )
 
 __version__ = "0.1.0"

@@ -67,22 +67,24 @@ def _cmd_synth(args) -> int:
 def _cmd_features(args) -> int:
     signals = load_signals_csv(args.input)
     features = []
-    skipped = 0
+    warnings = []
     for i, signal in enumerate(signals):
         reduced = downsample(signal, args.target_rate)
         if reduced.samples.size < args.length:
-            print(
+            warnings.append(
                 f"warning: block {i + 1} ({signal.label}) has only "
                 f"{reduced.samples.size} samples after downsampling, "
-                f"needs {args.length}; skipped",
-                file=sys.stderr,
+                f"needs {args.length}; skipped"
             )
-            skipped += 1
             continue
         segments = segment_signal(reduced, args.length, args.overlap)
         features.extend(extract_features(s) for s in segments)
+    skipped = len(warnings)
     if not features:
-        raise ValueError("no block was long enough to produce a single segment")
+        raise ValueError(f"no block was long enough to produce a single segment "
+                         f"of {args.length} samples ({skipped} skipped)")
+    for line in warnings:
+        print(line, file=sys.stderr)
     dataset = dataset_from_features(features)
     save_features_csv(dataset, args.out)
     print(

@@ -20,7 +20,6 @@ from .hybrid import (
     hybrid_gradients,
     model_parameters,
     new_hybrid_model,
-    with_parameters,
 )
 from .nn import init_mlp, mlp_backward_batch, mlp_forward_batch
 from .pqc import (
@@ -64,13 +63,35 @@ def _check_pqc(rng: np.random.Generator, draws: int = 20) -> tuple[float, float]
     return worst_gap, worst_rz
 
 
+def _central_differences(loss, arrays, step: float) -> list[np.ndarray]:
+    """Central-difference gradient of `loss()` for every scalar of `arrays`.
+
+    Each scalar is perturbed in place, so `loss` must read the arrays
+    themselves; it is restored before the next one, error or not.
+    """
+    numeric = []
+    for arr in arrays:
+        grad = np.empty_like(arr)
+        for idx in np.ndindex(arr.shape):
+            keep = arr[idx]
+            try:
+                arr[idx] = keep + step
+                plus = loss()
+                arr[idx] = keep - step
+                minus = loss()
+            finally:
+                arr[idx] = keep
+            grad[idx] = (plus - minus) / (2.0 * step)
+        numeric.append(grad)
+    return numeric
+
+
 def _check_mlp(rng: np.random.Generator, draws: int = 5) -> float:
     """Max relative error of analytic network gradients vs differences.
 
     The denominator is floored so finite-difference noise on near-zero
     components does not masquerade as a real mismatch.
     """
-    step = 1e-5
     worst = 0.0
     for _ in range(draws):
         model = init_mlp((5, 10, 3), seed=int(rng.integers(2**31 - 1)))
@@ -82,21 +103,13 @@ def _check_mlp(rng: np.random.Generator, draws: int = 5) -> float:
         analytic = [grads.inputs] + [
             a for w, b in zip(grads.weights, grads.biases) for a in (w, b)
         ]
-        for arr, grad in zip(arrays, analytic):
-            numeric = np.empty_like(arr)
-            flat, out = arr.reshape(-1), numeric.reshape(-1)
-            for j in range(flat.size):
-                keep = flat[j]
-                flat[j] = keep + step
-                p_plus, _ = mlp_forward_batch(model, batch)
-                flat[j] = keep - step
-                p_minus, _ = mlp_forward_batch(model, batch)
-                flat[j] = keep
-                out[j] = (
-                    _mean_cross_entropy(p_plus, labels)
-                    - _mean_cross_entropy(p_minus, labels)
-                ) / (2.0 * step)
-            rel = np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-4)
+        numeric = _central_differences(
+            lambda: _mean_cross_entropy(mlp_forward_batch(model, batch)[0], labels),
+            arrays,
+            step=1e-5,
+        )
+        for grad, num in zip(analytic, numeric):
+            rel = np.abs(grad - num) / np.maximum(np.abs(num), 1e-4)
             worst = max(worst, float(rel.max()))
     return worst
 
@@ -105,27 +118,14 @@ def numeric_hybrid_gradients(
     model: HybridModel, features, labels, step: float = 1e-4
 ) -> list[np.ndarray]:
     """Central-difference gradient over every trainable scalar, built from
-    forward passes alone."""
+    forward passes alone.  The model's arrays are perturbed in place and
+    left as they were found."""
     labels = np.asarray(labels)
-
-    def loss_of(m: HybridModel) -> float:
-        return _mean_cross_entropy(hybrid_forward_batch(m, features), labels)
-
-    params = [p.copy() for p in model_parameters(model)]
-    numeric = []
-    for i, param in enumerate(params):
-        grad = np.empty_like(param)
-        flat, out = param.reshape(-1), grad.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + step
-            plus = loss_of(with_parameters(model, params))
-            flat[j] = keep - step
-            minus = loss_of(with_parameters(model, params))
-            flat[j] = keep
-            out[j] = (plus - minus) / (2.0 * step)
-        numeric.append(grad)
-    return numeric
+    return _central_differences(
+        lambda: _mean_cross_entropy(hybrid_forward_batch(model, features), labels),
+        model_parameters(model),
+        step,
+    )
 
 
 def _check_hybrid(

@@ -433,6 +433,8 @@ def load_checkpoint(path) -> HybridModel:
             raise ValueError(
                 f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
     version = _field(doc, "version", "$")
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version!r}")

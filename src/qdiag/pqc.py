@@ -110,21 +110,26 @@ def _shifted(params: PqcParams, qubit: int, column: int, delta: float) -> PqcPar
     return shifted
 
 
+def _difference_jacobian(x, params: PqcParams, delta: float, divisor: float) -> np.ndarray:
+    """(f(angle + delta) - f(angle - delta)) / divisor per angle, shape (n, n, 3)."""
+    x = _check_input(x, params)
+    n = params.num_qubits
+    jac = np.zeros((n, n, 3))
+    for q in range(n):
+        for k in range(3):
+            plus = pqc_forward(x, _shifted(params, q, k, delta))
+            minus = pqc_forward(x, _shifted(params, q, k, -delta))
+            jac[:, q, k] = (plus - minus) / divisor
+    return jac
+
+
 def pqc_gradient_parameter_shift(x, params: PqcParams) -> np.ndarray:
     """Exact Jacobian d<Z_i>/d(angles[q, k]), shape (n, n, 3).
 
     Two shifted forward passes per parameter.  Off-diagonal blocks come out
     zero because the qubits never interact.
     """
-    x = _check_input(x, params)
-    n = params.num_qubits
-    jac = np.zeros((n, n, 3))
-    for q in range(n):
-        for k in range(3):
-            plus = pqc_forward(x, _shifted(params, q, k, PARAM_SHIFT))
-            minus = pqc_forward(x, _shifted(params, q, k, -PARAM_SHIFT))
-            jac[:, q, k] = 0.5 * (plus - minus)
-    return jac
+    return _difference_jacobian(x, params, PARAM_SHIFT, 2.0)
 
 
 def pqc_gradient_finite_difference(
@@ -133,15 +138,7 @@ def pqc_gradient_finite_difference(
     """Central-difference Jacobian with the same (n, n, 3) layout."""
     if not step > 0.0:
         raise ValueError(f"finite-difference step must be positive, got {step}")
-    x = _check_input(x, params)
-    n = params.num_qubits
-    jac = np.zeros((n, n, 3))
-    for q in range(n):
-        for k in range(3):
-            plus = pqc_forward(x, _shifted(params, q, k, step))
-            minus = pqc_forward(x, _shifted(params, q, k, -step))
-            jac[:, q, k] = (plus - minus) / (2.0 * step)
-    return jac
+    return _difference_jacobian(x, params, step, 2.0 * step)
 
 
 def _check_batch(batch, params: PqcParams) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 States are numpy complex128 vectors over the computational basis.  Qubit 0
 is the most significant bit of a basis index, so for two qubits the basis
-order is |00>, |01>, |10>, |11> and tensor products read left to right.
+order is |00>, |01>, |10>, |11>: the product state of qubit 0 in a and
+qubit 1 in b has amplitudes np.kron(a, b).
 Gates are plain 2x2 (or 4x4 for CNOT) unitary ndarrays; application checks
 unitarity rather than trusting the caller.
 """
@@ -20,7 +21,6 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-10
 _UNITARY_TOL = 1e-10
-_POLE_TOL = 1e-12
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -49,18 +49,6 @@ class QuantumState:
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} deviates from 1 by more than {_NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
-class BlochAngles:
-    """Polar and azimuthal angle of a single-qubit state on the Bloch sphere.
-
-    theta lies in [0, pi], phi in [0, 2*pi).  At the poles phi carries no
-    information and is reported as 0.
-    """
-
-    theta: float
-    phi: float
 
 
 def new_zero_state(num_qubits: int) -> QuantumState:
@@ -167,65 +155,3 @@ def expectation_z(state: QuantumState, target: int) -> float:
     bit = (k >> (n - 1 - target)) & 1
     p = np.abs(state.amplitudes) ** 2
     return float(p[bit == 0].sum() - p[bit == 1].sum())
-
-
-def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Combined register with a's qubits first (most significant)."""
-    total = a.num_qubits + b.num_qubits
-    if total > MAX_QUBITS:
-        raise ValueError(
-            f"combined register of {total} qubits exceeds the {MAX_QUBITS}-qubit limit"
-        )
-    return QuantumState(total, np.kron(a.amplitudes, b.amplitudes))
-
-
-def bloch_angles(state: QuantumState) -> BlochAngles:
-    """Bloch-sphere angles of a single-qubit state, global phase stripped.
-
-    The state is reduced to cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> by
-    dividing out the phase of the |0> amplitude (or of the |1> amplitude
-    when the |0> amplitude vanishes).
-    """
-    if state.num_qubits != 1:
-        raise ValueError(f"Bloch angles need a 1-qubit state, got {state.num_qubits}")
-    c0, c1 = state.amplitudes
-    if abs(c0) >= _POLE_TOL:
-        phase = c0 / abs(c0)
-    else:
-        phase = c1 / abs(c1)
-    c0, c1 = c0 / phase, c1 / phase
-    theta = 2.0 * math.atan2(abs(c1), abs(c0))
-    if min(abs(c0), abs(c1)) < _POLE_TOL:
-        return BlochAngles(theta, 0.0)
-    phi = math.atan2(c1.imag, c1.real) % (2.0 * math.pi)
-    if phi >= 2.0 * math.pi:  # mod of a tiny negative rounds up to 2*pi
-        phi = 0.0
-    return BlochAngles(theta, phi)
-
-
-def state_from_bloch(angles: BlochAngles) -> QuantumState:
-    """Single-qubit state with the given Bloch angles and no global phase."""
-    amps = np.array(
-        [
-            math.cos(angles.theta / 2.0),
-            np.exp(1j * angles.phi) * math.sin(angles.theta / 2.0),
-        ],
-        dtype=np.complex128,
-    )
-    return QuantumState(1, amps)
-
-
-def sample_measurements(
-    state: QuantumState, shots: int, seed: int | None = None
-) -> np.ndarray:
-    """Shot-sampled outcome counts per basis index.
-
-    Demonstration helper; everything else in the package reads exact
-    probabilities off the statevector.
-    """
-    if shots <= 0:
-        raise ValueError(f"shots must be positive, got {shots}")
-    rng = np.random.default_rng(seed)
-    p = probabilities(state)
-    p = p / p.sum()
-    return rng.multinomial(shots, p)

@@ -161,6 +161,19 @@ def test_features_fails_when_nothing_fits(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_features_with_no_usable_block_is_one_error_line(tmp_path, capsys):
+    signals_path = tmp_path / "signals.csv"
+    assert main(["synth", "--out", str(signals_path), "--per-class", "1",
+                 "--duration", "0.5"]) == 0
+    capsys.readouterr()
+    assert main(["features", "--in", str(signals_path), "--out", str(tmp_path / "f.csv"),
+                 "--length", "100000"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "(3 skipped)" in err[0]
+    assert not (tmp_path / "f.csv").exists()
+
+
 def test_features_missing_input(tmp_path, capsys):
     assert main(["features", "--in", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -348,6 +361,20 @@ def test_checkpoint_with_fewer_classes_is_rejected(tmp_path, capsys, command, de
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert message in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_deeply_nested_checkpoint_is_one_error_line(tmp_path, capsys, command):
+    model_path = tmp_path / "model.json"
+    features_path = tmp_path / "features.csv"
+    model_path.write_text("[" * 100_000)
+    three_level_features_csv(features_path, per_class=2)
+    assert main([command, "--model", str(model_path), "--in", str(features_path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert str(model_path) in err[0]
     assert captured.out == ""
 
 

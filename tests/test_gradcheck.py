@@ -1,6 +1,7 @@
 """Tests for the gradient cross-check suite itself."""
 
 import numpy as np
+import pytest
 
 from qdiag.data import NormalizerParams
 from qdiag.gradcheck import (
@@ -8,7 +9,7 @@ from qdiag.gradcheck import (
     numeric_hybrid_gradients,
     run_gradient_checks,
 )
-from qdiag.hybrid import hybrid_gradients, new_hybrid_model
+from qdiag.hybrid import hybrid_gradients, model_parameters, new_hybrid_model
 
 
 def test_all_checks_pass_on_a_healthy_build():
@@ -47,3 +48,19 @@ def test_numeric_oracle_agrees_with_analytic_gradients():
     for a, n in zip(analytic, numeric):
         assert a.shape == n.shape
         assert np.max(np.abs(a - n)) < 1e-4
+
+
+def test_numeric_oracle_restores_the_model_parameters():
+    rng = np.random.default_rng(47)
+    model = new_hybrid_model(NormalizerParams(np.zeros(5), np.ones(5)), seed=53)
+    before = [p.copy() for p in model_parameters(model)]
+    features = rng.uniform(size=(3, 5))
+    labels = rng.integers(0, 3, size=3)
+    numeric_hybrid_gradients(model, features, labels)
+    for p, b in zip(model_parameters(model), before):
+        assert p.tobytes() == b.tobytes()
+    # A loss that raises on its first call still leaves the model as it was.
+    with pytest.raises(ValueError):
+        numeric_hybrid_gradients(model, features[:, :4], labels)
+    for p, b in zip(model_parameters(model), before):
+        assert p.tobytes() == b.tobytes()

@@ -12,11 +12,9 @@ import pytest
 
 from qdiag.sim import (
     MAX_QUBITS,
-    BlochAngles,
     QuantumState,
     apply_cnot,
     apply_single_qubit_gate,
-    bloch_angles,
     expectation_z,
     gate_cnot,
     gate_h,
@@ -25,9 +23,6 @@ from qdiag.sim import (
     gate_rz,
     new_zero_state,
     probabilities,
-    sample_measurements,
-    state_from_bloch,
-    tensor_product,
 )
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -206,29 +201,6 @@ def test_expectation_z_addresses_the_right_qubit():
     assert abs(expectation_z(state, 1) + 1.0) < 1e-12
 
 
-def test_tensor_product_is_kron_with_first_factor_most_significant():
-    rng = np.random.default_rng(19)
-    a, b = random_state(rng, 2), random_state(rng, 1)
-    joined = tensor_product(a, b)
-    assert joined.num_qubits == 3
-    assert np.allclose(joined.amplitudes, np.kron(a.amplitudes, b.amplitudes))
-
-
-def test_tensor_product_probabilities_factorize():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        a, b = random_state(rng, 2), random_state(rng, 2)
-        joined = probabilities(tensor_product(a, b))
-        factored = np.kron(probabilities(a), probabilities(b))
-        assert np.max(np.abs(joined - factored)) < 1e-12
-
-
-def test_tensor_product_respects_qubit_limit():
-    a = new_zero_state(12)
-    with pytest.raises(ValueError):
-        tensor_product(a, a)
-
-
 def test_norm_is_conserved_across_random_circuits():
     rng = np.random.default_rng(29)
     for _ in range(1000):
@@ -244,55 +216,3 @@ def test_norm_is_conserved_across_random_circuits():
                 ](rng.uniform(-7, 7))
                 state = apply_single_qubit_gate(state, gate, int(rng.integers(0, n)))
         assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-10
-
-
-def test_bloch_angles_of_cardinal_states():
-    zero = new_zero_state(1)
-    one = QuantumState(1, np.array([0.0, 1.0], dtype=np.complex128))
-    plus = apply_single_qubit_gate(zero, gate_h(), 0)
-    assert bloch_angles(zero) == BlochAngles(0.0, 0.0)
-    assert bloch_angles(one) == BlochAngles(math.pi, 0.0)
-    got = bloch_angles(plus)
-    assert abs(got.theta - math.pi / 2) < 1e-12 and got.phi == 0.0
-
-
-def test_bloch_angles_strip_global_phase():
-    amps = np.exp(1.3j) * np.array([SQRT1_2, SQRT1_2 * np.exp(0.4j)])
-    got = bloch_angles(QuantumState(1, amps))
-    assert abs(got.theta - math.pi / 2) < 1e-12
-    assert abs(got.phi - 0.4) < 1e-12
-
-
-def test_bloch_angles_reject_multi_qubit_states():
-    with pytest.raises(ValueError):
-        bloch_angles(new_zero_state(2))
-
-
-def test_bloch_round_trip_on_random_states():
-    rng = np.random.default_rng(31)
-    for _ in range(1000):
-        state = random_state(rng, 1)
-        rebuilt = state_from_bloch(bloch_angles(state))
-        # Equality up to global phase: realign on the larger component.
-        k = int(np.argmax(np.abs(state.amplitudes)))
-        phase = state.amplitudes[k] / rebuilt.amplitudes[k]
-        assert abs(abs(phase) - 1.0) < 1e-10
-        assert np.max(np.abs(phase * rebuilt.amplitudes - state.amplitudes)) < 1e-10
-
-
-def test_bloch_angle_ranges_hold_everywhere():
-    rng = np.random.default_rng(37)
-    for _ in range(300):
-        got = bloch_angles(random_state(rng, 1))
-        assert 0.0 <= got.theta <= math.pi
-        assert 0.0 <= got.phi < 2.0 * math.pi
-
-
-def test_sample_measurements_is_seeded_and_counts_shots():
-    state = apply_single_qubit_gate(new_zero_state(1), gate_h(), 0)
-    counts = sample_measurements(state, 1000, seed=5)
-    again = sample_measurements(state, 1000, seed=5)
-    assert counts.sum() == 1000
-    assert np.array_equal(counts, again)
-    with pytest.raises(ValueError):
-        sample_measurements(state, 0)
