@@ -69,20 +69,23 @@ def _cmd_features(args) -> int:
     features = []
     warnings = []
     for i, signal in enumerate(signals):
-        reduced = downsample(signal, args.target_rate)
-        if reduced.samples.size < args.length:
-            warnings.append(
-                f"warning: block {i + 1} ({signal.label}) has only "
-                f"{reduced.samples.size} samples after downsampling, "
-                f"needs {args.length}; skipped"
-            )
-            continue
-        segments = segment_signal(reduced, args.length, args.overlap)
-        features.extend(extract_features(s) for s in segments)
+        try:
+            reduced = downsample(signal, args.target_rate)
+            if reduced.samples.size < args.length:
+                warnings.append(
+                    f"warning: block {i + 1} ({signal.label}) has only "
+                    f"{reduced.samples.size} samples after downsampling, "
+                    f"needs {args.length}; skipped"
+                )
+                continue
+            segments = segment_signal(reduced, args.length, args.overlap)
+            features.extend(extract_features(s) for s in segments)
+        except ValueError as e:
+            raise ValueError(f"{args.input}: block {i + 1}: {e}") from None
     skipped = len(warnings)
     if not features:
-        raise ValueError(f"no block was long enough to produce a single segment "
-                         f"of {args.length} samples ({skipped} skipped)")
+        raise ValueError(f"{args.input}: no block was long enough to produce a single "
+                         f"segment of {args.length} samples ({skipped} skipped)")
     for line in warnings:
         print(line, file=sys.stderr)
     dataset = dataset_from_features(features)

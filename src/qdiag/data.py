@@ -16,6 +16,7 @@ data comes in through a plain CSV bridge documented in the README.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -196,15 +197,13 @@ def extract_features(seg: Segment) -> FeatureVector:
     x = np.asarray(seg.samples, dtype=np.float64)
     if x.size == 0:
         raise ValueError("cannot featurize an empty segment")
-    mean = float(np.mean(x))
-    return FeatureVector(
-        mean=mean,
-        variance=float(np.mean((x - mean) ** 2)),
-        max_amplitude=float(np.max(np.abs(x))),
-        peak_to_peak=float(np.max(x) - np.min(x)),
-        rms=float(np.sqrt(np.mean(x * x))),
-        label=seg.label,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        mean = float(np.mean(x))
+        values = (mean, float(np.mean((x - mean) ** 2)), float(np.max(np.abs(x))),
+                  float(np.max(x) - np.min(x)), float(np.sqrt(np.mean(x * x))))
+    if not all(map(math.isfinite, values)):
+        raise ValueError("samples too large for finite features")
+    return FeatureVector(*values, label=seg.label)
 
 
 def dataset_from_features(feature_vectors: list[FeatureVector]) -> Dataset:
@@ -410,6 +409,23 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def open_input(path):
+    """qdiag's only read-mode `open`: ASCII text, for the block that parses it.
+
+    A `ValueError` raised in the block leaves it prefixed `<path>: `.  A
+    non-ASCII byte is "not ASCII text"; the decoder's position would count
+    from its read chunk, not from the start of the file.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not ASCII text") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
+
+
 def save_signals_csv(signals: list[RawSignal], path) -> None:
     if not signals:
         raise ValueError("no signals to save")
@@ -418,8 +434,7 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
             if i:
                 fh.write("\n")
             fh.write(f"{signal.label},{signal.load_lbs!r},{signal.sample_rate_hz!r}\n")
-            fh.write("\n".join(repr(float(v)) for v in signal.samples))
-            fh.write("\n")
+            fh.writelines(f"{v!r}\n" for v in signal.samples.tolist())
 
 
 def _parse_float(text: str, line_no: int, what: str) -> float:
@@ -432,57 +447,48 @@ def _parse_float(text: str, line_no: int, what: str) -> float:
     return value
 
 
+def _parse_label(text: str, line_no: int) -> str:
+    label = text.strip()
+    if label not in LABEL_TO_INDEX:
+        raise ValueError(f"line {line_no}: unknown label {label!r}, expected one of {LABELS}")
+    return label
+
+
 def load_signals_csv(path) -> list[RawSignal]:
     signals: list[RawSignal] = []
-    header: tuple[str, float, float] | None = None
-    samples: list[float] = []
-    header_line = 0
-
-    def flush() -> None:
-        nonlocal header, samples
-        if header is None:
-            return
-        if not samples:
-            raise ValueError(f"line {header_line}: signal block has no samples")
-        label, load, rate = header
-        signals.append(RawSignal(np.array(samples), rate, label, load))
-        header, samples = None, []
-
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    with open_input(path) as fh:
+        lines = enumerate(fh, start=1)
+        for header_no, raw in lines:
             line = raw.strip()
             if not line:
-                flush()
                 continue
-            if header is None:
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"line {line_no}: block header needs 3 fields "
-                        f"(label,load_lbs,sample_rate_hz), got {len(parts)}"
-                    )
-                label = parts[0].strip()
-                if label not in LABEL_TO_INDEX:
-                    raise ValueError(
-                        f"line {line_no}: unknown label {label!r}, "
-                        f"expected one of {LABELS}"
-                    )
-                load = _parse_float(parts[1], line_no, "load_lbs")
-                rate = _parse_float(parts[2], line_no, "sample_rate_hz")
-                if rate <= 0:
-                    raise ValueError(f"line {line_no}: sample rate must be positive")
-                header = (label, load, rate)
-                header_line = line_no
-            else:
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError(
+                    f"line {header_no}: block header needs 3 fields "
+                    f"(label,load_lbs,sample_rate_hz), got {len(parts)}"
+                )
+            label = _parse_label(parts[0], header_no)
+            load = _parse_float(parts[1], header_no, "load_lbs")
+            rate = _parse_float(parts[2], header_no, "sample_rate_hz")
+            if rate <= 0:
+                raise ValueError(f"line {header_no}: sample rate must be positive")
+            samples: list[float] = []
+            for line_no, raw in lines:  # the block's samples, up to a blank line
+                line = raw.strip()
+                if not line:
+                    break
                 if "," in line:
                     raise ValueError(
                         f"line {line_no}: expected one sample value, got {line!r}"
                     )
                 samples.append(_parse_float(line, line_no, "sample"))
-    flush()
-    if not signals:
-        raise ValueError(f"{path}: no signal blocks found")
-    return signals
+            if not samples:
+                raise ValueError(f"line {header_no}: signal block has no samples")
+            signals.append(RawSignal(np.array(samples), rate, label, load))
+        if not signals:
+            raise ValueError("no signal blocks found")
+        return signals
 
 
 def save_features_csv(dataset: Dataset, path) -> None:
@@ -497,15 +503,12 @@ def save_features_csv(dataset: Dataset, path) -> None:
 def load_features_csv(path) -> Dataset:
     rows: list[list[float]] = []
     labels: list[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
+    with open_input(path) as fh:
+        header = fh.readline().strip()
+        if header != FEATURE_CSV_HEADER:
+            raise ValueError(f"line 1: expected header {FEATURE_CSV_HEADER!r}, got {header!r}")
+        for line_no, raw in enumerate(fh, start=2):
             line = raw.strip()
-            if line_no == 1:
-                if line != FEATURE_CSV_HEADER:
-                    raise ValueError(
-                        f"line 1: expected header {FEATURE_CSV_HEADER!r}, got {line!r}"
-                    )
-                continue
             if not line:
                 continue
             parts = line.split(",")
@@ -514,18 +517,8 @@ def load_features_csv(path) -> Dataset:
                     f"line {line_no}: expected {NUM_FEATURES} feature columns "
                     f"plus a label, got {len(parts)} field(s)"
                 )
-            rows.append(
-                [
-                    _parse_float(cell, line_no, name)
-                    for cell, name in zip(parts, FEATURE_NAMES)
-                ]
-            )
-            label = parts[-1].strip()
-            if label not in LABEL_TO_INDEX:
-                raise ValueError(
-                    f"line {line_no}: unknown label {label!r}, expected one of {LABELS}"
-                )
-            labels.append(LABEL_TO_INDEX[label])
-    if not rows:
-        raise ValueError(f"{path}: no feature rows found")
-    return Dataset(np.array(rows), np.array(labels))
+            rows.append([_parse_float(c, line_no, n) for c, n in zip(parts, FEATURE_NAMES)])
+            labels.append(LABEL_TO_INDEX[_parse_label(parts[-1], line_no)])
+        if not rows:
+            raise ValueError("no feature rows found")
+        return Dataset(np.array(rows), np.array(labels))

@@ -26,6 +26,7 @@ from .data import (
     NormalizerParams,
     apply_normalizer,
     fit_normalizer,
+    open_input,
 )
 from .nn import (
     PROB_FLOOR,
@@ -426,63 +427,63 @@ def _float_list(values, expect: int, where: str) -> np.ndarray:
 
 def load_checkpoint(path) -> HybridModel:
     """Parse and validate a checkpoint; any defect raises ValueError."""
-    with open(path, "r", encoding="ascii") as fh:
+    with open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ValueError(
-                f"{path}: parse error at line {e.lineno}, column {e.colno}: {e.msg}"
+                f"parse error at line {e.lineno}, column {e.colno}: {e.msg}"
             ) from None
         except RecursionError:
-            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
-    version = _field(doc, "version", "$")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version!r}")
+            raise ValueError("JSON nested too deeply to parse") from None
+        version = _field(doc, "version", "$")
+        if type(version) is not int or version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r}")
 
-    norm_doc = _field(doc, "normalizer", "$")
-    min_doc = _field(norm_doc, "min", "normalizer")
-    if not isinstance(min_doc, list) or not min_doc:
-        raise ValueError("checkpoint field normalizer.min must be a flat number list")
-    minimum = _float_list(min_doc, len(min_doc), "normalizer.min")
-    maximum = _float_list(
-        _field(norm_doc, "max", "normalizer"), minimum.size, "normalizer.max"
-    )
-
-    pqc_doc = _field(doc, "pqc", "$")
-    num_qubits = _field(pqc_doc, "num_qubits", "pqc")
-    if type(num_qubits) is not int:
-        raise ValueError("checkpoint field pqc.num_qubits must be an integer")
-    angle_rows = _field(pqc_doc, "angles", "pqc")
-    if not isinstance(angle_rows, list) or len(angle_rows) != num_qubits:
-        raise ValueError(
-            f"checkpoint field pqc.angles must be {num_qubits} rows of 3 angles"
+        norm_doc = _field(doc, "normalizer", "$")
+        min_doc = _field(norm_doc, "min", "normalizer")
+        if not isinstance(min_doc, list) or not min_doc:
+            raise ValueError("checkpoint field normalizer.min must be a flat number list")
+        minimum = _float_list(min_doc, len(min_doc), "normalizer.min")
+        maximum = _float_list(
+            _field(norm_doc, "max", "normalizer"), minimum.size, "normalizer.max"
         )
-    angles = np.array(
-        [_float_list(row, 3, f"pqc.angles[{q}]") for q, row in enumerate(angle_rows)]
-    )
 
-    mlp_doc = _field(doc, "mlp", "$")
-    layer_docs = _field(mlp_doc, "layers", "mlp")
-    if not isinstance(layer_docs, list) or not layer_docs:
-        raise ValueError("checkpoint field mlp.layers must be a nonempty list")
-    layers = []
-    for i, layer_doc in enumerate(layer_docs):
-        where = f"mlp.layers[{i}]"
-        rows = _field(layer_doc, "rows", where)
-        cols = _field(layer_doc, "cols", where)
-        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
-            raise ValueError(f"checkpoint field {where} has invalid rows/cols")
-        weights = _float_list(
-            _field(layer_doc, "weights", where), rows * cols, f"{where}.weights"
-        ).reshape(rows, cols)
-        biases = _float_list(_field(layer_doc, "biases", where), rows, f"{where}.biases")
-        layers.append(DenseLayer(weights, biases))
-
-    try:
-        return HybridModel(
-            NormalizerParams(minimum, maximum),
-            PqcParams(num_qubits, angles),
-            MlpModel(layers),
+        pqc_doc = _field(doc, "pqc", "$")
+        num_qubits = _field(pqc_doc, "num_qubits", "pqc")
+        if type(num_qubits) is not int:
+            raise ValueError("checkpoint field pqc.num_qubits must be an integer")
+        angle_rows = _field(pqc_doc, "angles", "pqc")
+        if not isinstance(angle_rows, list) or len(angle_rows) != num_qubits:
+            raise ValueError(
+                f"checkpoint field pqc.angles must be {num_qubits} rows of 3 angles"
+            )
+        angles = np.array(
+            [_float_list(row, 3, f"pqc.angles[{q}]") for q, row in enumerate(angle_rows)]
         )
-    except ValueError as e:
-        raise ValueError(f"checkpoint is internally inconsistent: {e}") from None
+
+        mlp_doc = _field(doc, "mlp", "$")
+        layer_docs = _field(mlp_doc, "layers", "mlp")
+        if not isinstance(layer_docs, list) or not layer_docs:
+            raise ValueError("checkpoint field mlp.layers must be a nonempty list")
+        layers = []
+        for i, layer_doc in enumerate(layer_docs):
+            where = f"mlp.layers[{i}]"
+            rows = _field(layer_doc, "rows", where)
+            cols = _field(layer_doc, "cols", where)
+            if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+                raise ValueError(f"checkpoint field {where} has invalid rows/cols")
+            weights = _float_list(
+                _field(layer_doc, "weights", where), rows * cols, f"{where}.weights"
+            ).reshape(rows, cols)
+            biases = _float_list(_field(layer_doc, "biases", where), rows, f"{where}.biases")
+            layers.append(DenseLayer(weights, biases))
+
+        try:
+            return HybridModel(
+                NormalizerParams(minimum, maximum),
+                PqcParams(num_qubits, angles),
+                MlpModel(layers),
+            )
+        except ValueError as e:
+            raise ValueError(f"checkpoint is internally inconsistent: {e}") from None

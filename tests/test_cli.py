@@ -169,9 +169,34 @@ def test_features_with_no_usable_block_is_one_error_line(tmp_path, capsys):
     assert main(["features", "--in", str(signals_path), "--out", str(tmp_path / "f.csv"),
                  "--length", "100000"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert len(err) == 1 and err[0].startswith(f"error: {signals_path}: no block"), err
     assert "(3 skipped)" in err[0]
     assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+@pytest.mark.parametrize(
+    "header, sample, message",
+    [
+        ("baseline,270.0,2000.0", 1e200, "block 2: samples too large for finite features"),
+        ("baseline,270.0,5e-324", 0.5, "block 2: sample rate 5e-324 is not an integer"),
+    ],
+    ids=["overflow", "rate"],
+)
+def test_features_errors_after_loading_name_the_file(
+    tmp_path, capsys, header, sample, message
+):
+    signals_path = tmp_path / "signals.csv"
+    samples = [0.5] * 40
+    samples[4] = sample  # an even index survives decimation by 2
+    signals_path.write_text("outer_ring,270.0,2000.0\n" + "0.25\n" * 40 + "\n" + header
+                            + "\n" + "".join(f"{v!r}\n" for v in samples))
+    out_path = tmp_path / "f.csv"
+    assert main(["features", "--in", str(signals_path), "--out", str(out_path),
+                 "--target-rate", "1000", "--length", "16", "--overlap", "4"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {signals_path}: {message}"), err
+    assert not out_path.exists()
 
 
 def test_features_missing_input(tmp_path, capsys):
@@ -375,6 +400,27 @@ def test_deeply_nested_checkpoint_is_one_error_line(tmp_path, capsys, command):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     assert str(model_path) in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["features", "--in", "BAD", "--out", "OUT"],
+        ["train", "--in", "BAD", "--out", "OUT"],
+        ["eval", "--model", "BAD", "--in", "FEATURES"],
+        ["predict", "--model", "MODEL", "--in", "BAD"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_ascii_input_is_one_error_line_naming_the_file(tmp_path, capsys, argv):
+    files = {name: tmp_path / name.lower() for name in ("BAD", "OUT", "FEATURES", "MODEL")}
+    files["BAD"].write_bytes(b"\xff\xfe")
+    three_level_features_csv(files["FEATURES"], per_class=2)
+    perfect_checkpoint(files["MODEL"])
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {files['BAD']}: not ASCII text"]
     assert captured.out == ""
 
 

@@ -152,6 +152,15 @@ def test_empty_segment_rejected():
         extract_features(Segment(np.array([]), "baseline"))
 
 
+@pytest.mark.filterwarnings("error")  # an overflow must not warn, only raise
+@pytest.mark.parametrize("big", [1e200, -1e308])
+def test_features_that_overflow_are_rejected(big):
+    x = np.zeros(8)
+    x[3] = big
+    with pytest.raises(ValueError, match="samples too large for finite features"):
+        extract_features(Segment(x, "baseline"))
+
+
 def test_signals_to_dataset_counts_and_skips():
     long = make_signal(np.random.default_rng(0).normal(size=8000))
     short = make_signal(np.zeros(100), label="outer_ring")
@@ -349,11 +358,34 @@ def test_signals_csv_round_trip(tmp_path):
         assert np.array_equal(back.samples, orig.samples)  # repr() is exact
 
 
+def test_signals_csv_loose_blank_lines_round_trip(tmp_path):
+    rng = np.random.default_rng(13)
+    signals = [
+        make_signal(rng.normal(size=7), rate=97656.0, label="outer_ring", load=270.0),
+        make_signal(rng.normal(size=5), rate=48828.0, label="baseline", load=0.0),
+        make_signal(rng.normal(size=3), rate=48828.0, label="inner_ring", load=25.0),
+    ]
+    path = tmp_path / "signals.csv"
+    save_signals_csv(signals, path)
+    # Leading blank lines, several blank lines (one of spaces) between blocks,
+    # and no newline after the last sample.
+    text = "\n\n" + path.read_text().replace("\n\n", "\n\n  \n\n").rstrip("\n")
+    path.write_text(text)
+    loaded = load_signals_csv(path)
+    assert len(loaded) == 3
+    for orig, back in zip(signals, loaded):
+        assert (back.label, back.load_lbs, back.sample_rate_hz) == (
+            orig.label, orig.load_lbs, orig.sample_rate_hz)
+        assert np.array_equal(back.samples, orig.samples)
+
+
 def test_signals_csv_error_positions(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("baseline,270.0,48828.0\n1.0\nnot-a-number\n")
-    with pytest.raises(ValueError, match="line 3"):
+    with pytest.raises(ValueError, match="line 3") as info:
         load_signals_csv(path)
+    assert str(info.value).startswith(f"{path}: line 3: sample is not a number")
+    assert str(info.value).count(str(path)) == 1
     path.write_text("gearbox,270.0,48828.0\n1.0\n")
     with pytest.raises(ValueError, match="line 1.*gearbox"):
         load_signals_csv(path)
@@ -369,6 +401,10 @@ def test_signals_csv_error_positions(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="no signal blocks"):
         load_signals_csv(path)
+    path.write_bytes(b"baseline,270.0,48828.0\n1.0\n2.0\xe9\n")
+    with pytest.raises(ValueError, match="not ASCII text") as info:
+        load_signals_csv(path)
+    assert str(info.value) == f"{path}: not ASCII text"
 
 
 def test_features_csv_round_trip(tmp_path):
@@ -385,8 +421,10 @@ def test_features_csv_error_positions(tmp_path):
     header = "mean,variance,max_amplitude,peak_to_peak,rms,label"
     path = tmp_path / "bad.csv"
     path.write_text("wrong,header\n")
-    with pytest.raises(ValueError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1") as info:
         load_features_csv(path)
+    assert str(info.value).startswith(f"{path}: line 1: expected header")
+    assert str(info.value).count(str(path)) == 1
     path.write_text(header + "\n1,2,3,4,baseline\n")
     with pytest.raises(ValueError, match="line 2"):
         load_features_csv(path)
@@ -396,3 +434,10 @@ def test_features_csv_error_positions(tmp_path):
     path.write_text(header + "\n")
     with pytest.raises(ValueError, match="no feature rows"):
         load_features_csv(path)
+    path.write_text("")
+    with pytest.raises(ValueError, match="line 1: expected header"):
+        load_features_csv(path)
+    path.write_bytes(header.encode() + b"\n1,2,3,4,5,baseline\n1,2,3,4,5,\xc3\xa9\n")
+    with pytest.raises(ValueError, match="not ASCII text") as info:
+        load_features_csv(path)
+    assert str(info.value) == f"{path}: not ASCII text"

@@ -345,8 +345,10 @@ def test_checkpoint_parse_errors_carry_positions(tmp_path):
     save_checkpoint(model, path)
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
-    with pytest.raises(ValueError, match="parse error at line"):
+    with pytest.raises(ValueError, match="parse error at line") as info:
         load_checkpoint(path)
+    assert str(info.value).startswith(f"{path}: parse error at line")
+    assert str(info.value).count(str(path)) == 1
 
 
 def test_checkpoint_version_and_missing_fields(tmp_path):
@@ -362,8 +364,9 @@ def test_checkpoint_version_and_missing_fields(tmp_path):
 
     doc_bad = {k: v for k, v in doc.items() if k != "normalizer"}
     path.write_text(json.dumps(doc_bad))
-    with pytest.raises(ValueError, match="missing field"):
+    with pytest.raises(ValueError, match="missing field") as info:
         load_checkpoint(path)
+    assert str(info.value) == f"{path}: checkpoint is missing field $.normalizer"
 
 
 def test_checkpoint_cross_section_mismatch(tmp_path):

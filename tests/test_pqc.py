@@ -218,3 +218,13 @@ def test_batch_jacobian_matches_per_sample_diagonal():
         pqc_jacobian_batch(np.full((2, 4), 1.5), params)
     with pytest.raises(ValueError, match="batch has shape"):
         pqc_jacobian_batch(np.zeros((2, 3)), params)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [pqc_expectations_batch, pqc_jacobian_batch])
+def test_batch_paths_refuse_non_finite_values(fn, bad):
+    params = random_pqc_params(3, np.random.default_rng(89))
+    batch = np.full((4, 3), 0.5)
+    batch[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        fn(batch, params)
