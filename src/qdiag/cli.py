@@ -39,6 +39,7 @@ from .hybrid import (
     RunMetrics,
     SummaryReport,
     TrainConfig,
+    TrainingDiverged,
     confusion_row_percent,
     evaluate,
     hybrid_forward_batch,
@@ -144,8 +145,6 @@ def _print_confusion(confusion: np.ndarray) -> None:
 
 
 def _cmd_train(args) -> int:
-    dataset = load_features_csv(args.input)
-    dataset = split(dataset, train_fraction=args.train_frac, seed=args.seed)
     config = TrainConfig(
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -154,8 +153,17 @@ def _cmd_train(args) -> int:
         base_seed=args.seed,
     )
     config.validate()
-    os.makedirs(args.out, exist_ok=True)
-    report = summarize_runs([train_run(dataset, config, seed) for seed in config.seeds()])
+    if not 0.0 < args.train_frac < 1.0:
+        raise ValueError(f"--train-frac must be in (0, 1), got {args.train_frac}")
+    dataset = load_features_csv(args.input)
+    try:
+        dataset = split(dataset, train_fraction=args.train_frac, seed=args.seed)
+        os.makedirs(args.out, exist_ok=True)
+        report = summarize_runs([train_run(dataset, config, seed) for seed in config.seeds()])
+    except TrainingDiverged:
+        raise
+    except ValueError as e:  # the rows of the feature file are at fault
+        raise ValueError(f"{args.input}: {e}") from None
 
     _write_metrics_csv(os.path.join(args.out, "metrics.csv"), report)
     for run in report.runs:

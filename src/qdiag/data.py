@@ -101,6 +101,10 @@ class NormalizerParams:
             raise ValueError("per-feature min and max must be finite")
         if np.any(self.maximum < self.minimum):
             raise ValueError("per-feature max must be >= min")
+        with np.errstate(over="ignore"):
+            span = self.maximum - self.minimum
+        if not np.all(np.isfinite(span)):
+            raise ValueError("per-feature span max - min must be finite")
 
     @property
     def num_features(self) -> int:
@@ -261,7 +265,8 @@ def apply_normalizer(params: NormalizerParams, features: np.ndarray) -> np.ndarr
         )
     span = params.maximum - params.minimum
     safe_span = np.where(span > 0.0, span, 1.0)
-    scaled = (features - params.minimum) / safe_span
+    with np.errstate(over="ignore"):  # far-out values overflow to +-inf, then clamp
+        scaled = (features - params.minimum) / safe_span
     scaled = np.clip(scaled, 0.0, 1.0)
     return np.where(span > 0.0, scaled, 0.5)
 

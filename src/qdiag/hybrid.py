@@ -216,6 +216,22 @@ def with_parameters(model: HybridModel, params: list[np.ndarray]) -> HybridModel
     return HybridModel(model.normalizer, pqc, MlpModel(layers))
 
 
+def _gradients(
+    model: HybridModel, normed: np.ndarray, labels: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Gradients of every trainable array on normalized rows, plus the
+    class probabilities they were taken at."""
+    expectations = pqc_expectations_batch(normed, model.pqc)
+    probs, cache = mlp_forward_batch(model.mlp, expectations)
+    mlp_grads = mlp_backward_batch(model.mlp, cache, labels)
+    jac = pqc_jacobian_batch(normed, model.pqc)
+    angle_grads = np.einsum("bq,bqk->qk", mlp_grads.inputs, jac)
+    grads = [angle_grads]
+    for w, b in zip(mlp_grads.weights, mlp_grads.biases):
+        grads.extend([w, b])
+    return grads, probs
+
+
 def hybrid_gradients(
     model: HybridModel, features, labels
 ) -> tuple[list[np.ndarray], float]:
@@ -230,17 +246,8 @@ def hybrid_gradients(
     labels = np.asarray(labels)
     if labels.shape != (batch.shape[0],):
         raise ValueError(f"expected {batch.shape[0]} labels, got shape {labels.shape}")
-    normed = apply_normalizer(model.normalizer, batch)
-    expectations = pqc_expectations_batch(normed, model.pqc)
-    probs, cache = mlp_forward_batch(model.mlp, expectations)
-    loss = _mean_cross_entropy(probs, labels)
-    mlp_grads = mlp_backward_batch(model.mlp, cache, labels)
-    jac = pqc_jacobian_batch(normed, model.pqc)
-    angle_grads = np.einsum("bq,bqk->qk", mlp_grads.inputs, jac)
-    grads = [angle_grads]
-    for w, b in zip(mlp_grads.weights, mlp_grads.biases):
-        grads.extend([w, b])
-    return grads, loss
+    grads, probs = _gradients(model, apply_normalizer(model.normalizer, batch), labels)
+    return grads, _mean_cross_entropy(probs, labels)
 
 
 @dataclass
@@ -269,8 +276,12 @@ def _check_split_classes(labels: np.ndarray, side: str) -> None:
         raise ValueError(f"{side} split is missing class(es): {', '.join(missing)}")
 
 
-def _diverged(epoch: int, config: TrainConfig) -> ValueError:
-    return ValueError(
+class TrainingDiverged(ValueError):
+    """A run whose parameters or loss left the finite range."""
+
+
+def _diverged(epoch: int, config: TrainConfig) -> TrainingDiverged:
+    return TrainingDiverged(
         f"training diverged in epoch {epoch} at learning rate {config.learning_rate!r}"
     )
 
@@ -289,14 +300,20 @@ def train_run(
     rng = np.random.default_rng(seed)
     normalizer = fit_normalizer(train_x)
     model = new_hybrid_model(normalizer, seed=int(rng.integers(2**31 - 1)))
+    # One flat vector holds every trainable value; the model's arrays are
+    # views into it, so one Adam update in place moves the whole model.
     params = model_parameters(model)
-    opt_state = adam_init(params, lr=config.learning_rate)
+    theta = np.concatenate([p.ravel() for p in params])
+    parts = np.split(theta, np.cumsum([p.size for p in params])[:-1])
+    model = with_parameters(model, [v.reshape(p.shape) for v, p in zip(parts, params)])
+    opt_state = adam_init([theta], lr=config.learning_rate)
 
     n_train = train_x.shape[0]
     curve_acc = np.empty(config.epochs + 1)
     curve_loss = np.empty(config.epochs + 1)
-    start_eval = evaluate(model, train_x, train_y)
+    start_eval = evaluate(model, train_x, train_y)  # validates the train rows
     curve_acc[0], curve_loss[0] = start_eval.accuracy, start_eval.loss
+    normed = apply_normalizer(normalizer, train_x)
 
     # Too large a learning rate overflows in the network; that is reported
     # once, as divergence, instead of as numpy warnings.
@@ -305,12 +322,12 @@ def train_run(
             order = rng.permutation(n_train)
             for lo in range(0, n_train, config.batch_size):
                 pick = order[lo : lo + config.batch_size]
-                grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
-                params, opt_state = adam_step(params, grads, opt_state)
-                try:
-                    model = with_parameters(model, params)
-                except ValueError:  # shapes are fixed, so only non-finite values
-                    raise _diverged(epoch, config) from None
+                grads, _ = _gradients(model, normed[pick], train_y[pick])
+                grad = np.concatenate([g.ravel() for g in grads])
+                (updated,), opt_state = adam_step([theta], [grad], opt_state)
+                if not np.all(np.isfinite(updated)):
+                    raise _diverged(epoch, config)
+                theta[:] = updated
             epoch_eval = evaluate(model, train_x, train_y)
             if not math.isfinite(epoch_eval.loss):
                 raise _diverged(epoch, config)

@@ -265,6 +265,49 @@ def test_train_bad_learning_rate_is_one_error_line(tmp_path, capsys, lr):
     assert len(err) == 1 and err[0].startswith("error:") and "learning" in err[0], err
 
 
+def one_row_baseline(features, labels):
+    keep = np.flatnonzero(labels != 0)
+    return np.vstack([features[:1], features[keep]]), np.concatenate([[0], labels[keep]])
+
+
+def spans_overflow(features, labels):
+    features = features.copy()
+    features[:, 0] = np.where(labels == 0, -1e308, 1e308)
+    return features, labels
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        (one_row_baseline, "class 'baseline' has 1 sample(s), need at least 2 to split"),
+        (spans_overflow, "per-feature span max - min must be finite"),
+    ],
+    ids=["one_row_class", "span_overflow"],
+)
+def test_train_data_errors_name_the_file(tmp_path, capsys, defect, message):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    dataset = load_features_csv(features_path)
+    save_features_csv(Dataset(*defect(dataset.features, dataset.labels)), features_path)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--runs", "1", "--epochs", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {features_path}: {message}"]
+
+
+@pytest.mark.parametrize("frac", ["0", "1.5", "nan"])
+def test_train_bad_fraction_is_a_flag_error(tmp_path, capsys, frac):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--train-frac", frac]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --train-frac must be in (0, 1), got {float(frac)}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_missing_input(tmp_path, capsys):
     assert main(["train", "--in", str(tmp_path / "nope.csv")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -422,6 +465,41 @@ def test_non_ascii_input_is_one_error_line_naming_the_file(tmp_path, capsys, arg
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {files['BAD']}: not ASCII text"]
     assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+def test_checkpoint_whose_normalizer_span_overflows_is_refused(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    features_path = tmp_path / "features.csv"
+    perfect_checkpoint(model_path)
+    doc = json.loads(model_path.read_text())
+    doc["normalizer"]["min"][1], doc["normalizer"]["max"][1] = -1e308, 1e308
+    model_path.write_text(json.dumps(doc))
+    three_level_features_csv(features_path, per_class=2)
+    assert main(["eval", "--model", str(model_path), "--in", str(features_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {model_path}: checkpoint is internally inconsistent: "
+        "per-feature span max - min must be finite"
+    ]
+    assert captured.out == ""
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+def test_far_out_feature_clamps_without_a_warning(tmp_path, capsys):
+    model_path = tmp_path / "model.json"
+    features_path = tmp_path / "features.csv"
+    perfect_checkpoint(model_path)
+    doc = json.loads(model_path.read_text())
+    doc["normalizer"]["max"][0] = 1e-3
+    model_path.write_text(json.dumps(doc))
+    features = np.full((3, 5), 0.5)
+    features[:, 0] = [1e308, -1e308, 5e-4]  # clamp to 1, clamp to 0, inside
+    save_features_csv(Dataset(features, np.array([2, 0, 1])), features_path)
+    assert main(["eval", "--model", str(model_path), "--in", str(features_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "accuracy: 100.00 %" in captured.out
 
 
 def test_eval_missing_model(tmp_path, capsys):

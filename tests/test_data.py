@@ -195,6 +195,15 @@ def test_normalizer_degenerate_feature_maps_to_half():
     assert np.allclose(out[:, 1], [0.5, 0.0])
 
 
+@pytest.mark.filterwarnings("error")  # overflow must neither warn nor leak out
+def test_normalizer_span_is_finite_and_far_values_clamp_quietly():
+    with pytest.raises(ValueError, match="span max - min must be finite"):
+        fit_normalizer(np.array([[-1e308, 0.0], [1e308, 1.0]]))
+    params = fit_normalizer(np.array([[0.0, -1e308], [1e-3, 0.0]]))
+    out = apply_normalizer(params, np.array([[1e308, 1e308], [-1e308, -1e308]]))
+    assert np.array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
+
+
 def test_normalizer_needs_two_rows():
     with pytest.raises(ValueError, match="at least 2"):
         fit_normalizer(np.array([[1.0, 2.0, 3.0, 4.0, 5.0]]))

@@ -1,7 +1,7 @@
 """Seeded mutation test of the failure contract at the input boundary.
 
 Each case damages one valid input (a checkpoint, a feature CSV or a signal
-CSV) with one seeded mutation and runs the command that reads it.  Exit 1
+CSV) with one seeded mutation and runs the commands that read it.  Exit 1
 must come with exactly one stderr line, `error: <that file>: ...`; exit 0
 must come with finite output.  Warnings are errors here, so a numpy
 warning cannot slip out as an extra stderr line.
@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -48,6 +49,12 @@ def run_cli(argv):
 
 def truncate(data, rng):
     return data[: rng.integers(len(data))]
+
+
+def cut_at_line(data, rng):
+    """Whole lines only, so a feature CSV keeps parsing but may lose classes."""
+    ends = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+    return data[: ends[rng.integers(len(ends))]]
 
 
 def non_ascii_byte(data, rng):
@@ -101,7 +108,7 @@ def blank_line(data, rng):
     return _edit_line(data, rng, lambda line: [line, b""])
 
 
-CSV_MUTATIONS = [truncate, non_ascii_byte, odd_cell, deep_nesting,
+CSV_MUTATIONS = [truncate, cut_at_line, non_ascii_byte, odd_cell, deep_nesting,
                  drop_cell, ragged_row, drop_line, blank_line]
 
 
@@ -169,6 +176,10 @@ def write_inputs(tmp_path):
 def finite_output(argv, out_path, out):
     if argv[0] == "features":
         return bool(np.all(np.isfinite(load_features_csv(out_path).features)))
+    if argv[0] == "train":
+        rows = [line.split(",")[1:] for line in
+                (out_path / "metrics.csv").read_text().splitlines()[1:]]
+        return bool(np.all(np.isfinite(np.array(rows, dtype=float))))
     if argv[0] == "predict":
         rows = [line.split(",")[1:4] for line in out.splitlines()[1:]]
         return bool(rows) and bool(np.all(np.isfinite(np.array(rows, dtype=float))))
@@ -200,21 +211,26 @@ def run_cases(tmp_path, target, seed):
     out_path = tmp_path / "out.csv"
     rng = np.random.default_rng(seed)
     problems = []
+    train_dir = tmp_path / "train-out"
     for case in range(CASES_PER_INPUT):
         mutate = mutations[rng.integers(len(mutations))]
         bad.write_bytes(mutate(valid, rng))
-        out_path.unlink(missing_ok=True)
         command = ["eval", "predict"][case % 2]
         if target == "signals.csv":
-            argv = ["features", "--in", str(bad), "--out", str(out_path),
-                    "--target-rate", "1000", "--length", "16", "--overlap", "4"]
+            runs = [(["features", "--in", str(bad), "--out", str(out_path),
+                      "--target-rate", "1000", "--length", "16", "--overlap", "4"], out_path)]
         elif target == "model.json":
-            argv = [command, "--model", str(bad), "--in", str(paths["features.csv"])]
+            runs = [([command, "--model", str(bad), "--in", str(paths["features.csv"])], None)]
         else:
-            argv = [command, "--model", str(paths["model.json"]), "--in", str(bad)]
-        problem = breach(argv, bad, out_path)
-        if problem:
-            problems.append(f"case {case} ({mutate.__name__}, {argv[0]}): {problem}")
+            runs = [([command, "--model", str(paths["model.json"]), "--in", str(bad)], None),
+                    (["train", "--in", str(bad), "--out", str(train_dir),
+                      "--runs", "1", "--epochs", "1"], train_dir)]
+        for argv, out in runs:
+            out_path.unlink(missing_ok=True)
+            shutil.rmtree(train_dir, ignore_errors=True)
+            problem = breach(argv, bad, out)
+            if problem:
+                problems.append(f"case {case} ({mutate.__name__}, {argv[0]}): {problem}")
     return problems
 
 

@@ -1,14 +1,16 @@
 """Tests for the joint circuit + network model and its training loop."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qdiag.data import Dataset, NormalizerParams, split
+from qdiag.data import Dataset, NormalizerParams, fit_normalizer, split
 from qdiag.hybrid import (
     HybridModel,
     TrainConfig,
+    TrainingDiverged,
     confusion_row_percent,
     evaluate,
     hybrid_forward,
@@ -24,7 +26,7 @@ from qdiag.hybrid import (
     train_run,
     with_parameters,
 )
-from qdiag.nn import cross_entropy, init_mlp
+from qdiag.nn import adam_init, adam_step, cross_entropy, init_mlp
 from qdiag.pqc import PqcParams, RZ_ANGLE
 
 IDENTITY_NORM = NormalizerParams(np.zeros(5), np.ones(5))
@@ -247,6 +249,58 @@ def test_training_reduces_loss_and_fits_the_blobs():
     assert metrics.final_train_accuracy >= 0.9
     assert metrics.test_accuracy >= 0.8
     assert metrics.confusion.sum() == dataset.test[1].size
+
+
+def per_array_train_run(dataset, config, seed):
+    """train_run written as a loop over the five arrays: hybrid_gradients,
+    an Adam step per array, and a model rebuilt by with_parameters.
+
+    Returns the model, the epoch evaluations and the epoch it diverged in.
+    """
+    train_x, train_y = dataset.train
+    rng = np.random.default_rng(seed)
+    model = new_hybrid_model(fit_normalizer(train_x), seed=int(rng.integers(2**31 - 1)))
+    params = model_parameters(model)
+    state = adam_init(params, lr=config.learning_rate)
+    evals = [evaluate(model, train_x, train_y)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(train_x.shape[0])
+            for lo in range(0, train_x.shape[0], config.batch_size):
+                pick = order[lo : lo + config.batch_size]
+                grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
+                params, state = adam_step(params, grads, state)
+                try:
+                    model = with_parameters(model, params)
+                except ValueError:
+                    return model, evals, epoch
+            evals.append(evaluate(model, train_x, train_y))
+            if not math.isfinite(evals[-1].loss):
+                return model, evals, epoch
+    return model, evals, None
+
+
+def test_flat_vector_training_equals_the_per_array_loop():
+    # Adam is elementwise, so one update of the flat vector must give the
+    # same bits as one update per array.
+    dataset = toy_dataset()
+    config = quick_config(epochs=3)
+    model, metrics = train_run(dataset, config, seed=6)
+    ref_model, ref_evals, diverged = per_array_train_run(dataset, config, seed=6)
+    assert diverged is None
+    for p, q in zip(model_parameters(model), model_parameters(ref_model), strict=True):
+        assert np.array_equal(p, q)
+    assert np.array_equal(metrics.epoch_train_accuracy, [e.accuracy for e in ref_evals])
+    assert np.array_equal(metrics.epoch_train_loss, [e.loss for e in ref_evals])
+
+
+def test_divergence_is_reported_in_the_per_array_loop_epoch():
+    dataset = toy_dataset()
+    config = quick_config(epochs=5, learning_rate=1e308)
+    _, _, diverged = per_array_train_run(dataset, config, seed=6)
+    assert diverged is not None
+    with pytest.raises(TrainingDiverged, match=f"diverged in epoch {diverged} "):
+        train_run(dataset, config, seed=6)
 
 
 def test_train_run_requires_a_split():

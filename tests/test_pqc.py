@@ -226,5 +226,5 @@ def test_batch_paths_refuse_non_finite_values(fn, bad):
     params = random_pqc_params(3, np.random.default_rng(89))
     batch = np.full((4, 3), 0.5)
     batch[2, 1] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="lie in"):
         fn(batch, params)
