@@ -40,7 +40,6 @@ from .hybrid import (
     multi_seed_report,
     new_hybrid_model,
     save_checkpoint,
-    summarize_runs,
     train_run,
 )
 from .nn import MlpModel, adam_init, adam_step, init_mlp

@@ -44,9 +44,8 @@ from .hybrid import (
     evaluate,
     hybrid_forward_batch,
     load_checkpoint,
+    multi_seed_report,
     save_checkpoint,
-    summarize_runs,
-    train_run,
 )
 
 _SHORT = [SHORT_LABELS[name] for name in LABELS]
@@ -158,13 +157,13 @@ def _cmd_train(args) -> int:
     dataset = load_features_csv(args.input)
     try:
         dataset = split(dataset, train_fraction=args.train_frac, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
-        report = summarize_runs([train_run(dataset, config, seed) for seed in config.seeds()])
+        report = multi_seed_report(dataset, config)
     except TrainingDiverged:
         raise
     except ValueError as e:  # the rows of the feature file are at fault
         raise ValueError(f"{args.input}: {e}") from None
 
+    os.makedirs(args.out, exist_ok=True)
     _write_metrics_csv(os.path.join(args.out, "metrics.csv"), report)
     for run in report.runs:
         _write_curves_csv(os.path.join(args.out, f"curves_seed{run.seed}.csv"), run)

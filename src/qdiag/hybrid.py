@@ -70,10 +70,6 @@ class HybridModel:
                 f"label set {LABELS} needs {len(LABELS)}"
             )
 
-    @property
-    def num_classes(self) -> int:
-        return self.mlp.output_dim
-
 
 @dataclass
 class TrainConfig:
@@ -93,10 +89,6 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "num_runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
-
-    def seeds(self) -> list[int]:
-        """The seeds of the num_runs runs: base_seed, base_seed + 1, ..."""
-        return [self.base_seed + i for i in range(self.num_runs)]
 
 
 @dataclass
@@ -262,7 +254,7 @@ def evaluate(model: HybridModel, features, labels) -> EvalResult:
     labels = np.asarray(labels)
     probs = hybrid_forward_batch(model, features)
     predicted = np.argmax(probs, axis=1)
-    classes = model.num_classes
+    classes = len(LABELS)
     confusion = np.zeros((classes, classes), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
@@ -306,7 +298,7 @@ def train_run(
     theta = np.concatenate([p.ravel() for p in params])
     parts = np.split(theta, np.cumsum([p.size for p in params])[:-1])
     model = with_parameters(model, [v.reshape(p.shape) for v, p in zip(parts, params)])
-    opt_state = adam_init([theta], lr=config.learning_rate)
+    opt_state = adam_init(theta, lr=config.learning_rate)
 
     n_train = train_x.shape[0]
     curve_acc = np.empty(config.epochs + 1)
@@ -324,7 +316,7 @@ def train_run(
                 pick = order[lo : lo + config.batch_size]
                 grads, _ = _gradients(model, normed[pick], train_y[pick])
                 grad = np.concatenate([g.ravel() for g in grads])
-                (updated,), opt_state = adam_step([theta], [grad], opt_state)
+                updated, opt_state = adam_step(theta, grad, opt_state)
                 if not np.all(np.isfinite(updated)):
                     raise _diverged(epoch, config)
                 theta[:] = updated
@@ -347,14 +339,17 @@ def train_run(
     return model, metrics
 
 
-def summarize_runs(results: list[tuple[HybridModel, RunMetrics]]) -> SummaryReport:
-    """Aggregate finished (model, metrics) runs into Table-style stats.
+def multi_seed_report(dataset: Dataset, config: TrainConfig) -> SummaryReport:
+    """Train config.num_runs runs, seeded base_seed, base_seed + 1, ...,
+    and aggregate them into Table-style stats.
 
     Std is the sample standard deviation (ddof = 1); a single run has no
     spread and reports 0.0, with its own numbers as the means.
     """
-    if not results:
-        raise ValueError("no runs to summarize")
+    config.validate()
+    results = [
+        train_run(dataset, config, config.base_seed + i) for i in range(config.num_runs)
+    ]
     models = [model for model, _ in results]
     runs = [metrics for _, metrics in results]
     stats = {}
@@ -369,21 +364,6 @@ def summarize_runs(results: list[tuple[HybridModel, RunMetrics]]) -> SummaryRepo
         stats[f"std_{name}"] = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
     pooled = np.sum([r.confusion for r in runs], axis=0)
     return SummaryReport(runs=runs, models=models, pooled_confusion=pooled, **stats)
-
-
-def multi_seed_report(
-    dataset: Dataset, config: TrainConfig, seeds: list[int] | None = None
-) -> SummaryReport:
-    """Repeat train_run over several seeds and aggregate Table-style stats.
-
-    Seeds default to config.seeds(); pass an explicit list to pin them.
-    """
-    config.validate()
-    if seeds is None:
-        seeds = config.seeds()
-    if len(seeds) < 2:
-        raise ValueError("aggregation needs at least 2 runs; call train_run for one")
-    return summarize_runs([train_run(dataset, config, seed) for seed in seeds])
 
 
 # --- checkpoint serialization ----------------------------------------------

@@ -12,7 +12,7 @@ All functions are pure: parameters in, parameters out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,18 +138,11 @@ class MlpGradients:
     inputs: np.ndarray
 
 
-def _as_batch(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :]
-    if x.ndim == 2:
-        return x
-    raise ValueError(f"expected a vector or a batch of vectors, got shape {x.shape}")
-
-
 def mlp_forward_batch(model: MlpModel, batch) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for a (batch, input_dim) array."""
-    batch = _as_batch(batch)
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim != 2:
+        raise ValueError(f"expected a batch of input rows, got shape {batch.shape}")
     if batch.shape[1] != model.input_dim:
         raise ValueError(
             f"input width {batch.shape[1]} does not match model input "
@@ -201,38 +194,28 @@ def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradi
 class AdamState:
     """First/second moment accumulators plus the step counter."""
 
-    lr: float = 0.01
-    step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    lr: float
+    step_count: int
+    m: np.ndarray
+    v: np.ndarray
 
 
-def adam_init(params: list[np.ndarray], lr: float = 0.01) -> AdamState:
+def adam_init(params: np.ndarray, lr: float = 0.01) -> AdamState:
     if not lr > 0.0:
         raise ValueError(f"learning rate must be positive, got {lr}")
-    return AdamState(
-        lr=lr,
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-    )
+    return AdamState(lr=lr, step_count=0, m=np.zeros_like(params), v=np.zeros_like(params))
 
 
 def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
+    params: np.ndarray, grads: np.ndarray, state: AdamState
+) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns new params and new state."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ValueError("params, grads and optimizer state must align")
+    if grads.shape != params.shape:
+        raise ValueError(f"gradient shape {grads.shape} != parameter shape {params.shape}")
     t = state.step_count + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
-        new_params.append(p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(lr=state.lr, step_count=t, m=new_m, v=new_v)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new_params, AdamState(lr=state.lr, step_count=t, m=m, v=v)

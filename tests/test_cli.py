@@ -263,6 +263,7 @@ def test_train_bad_learning_rate_is_one_error_line(tmp_path, capsys, lr):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "learning" in err[0], err
+    assert not (tmp_path / "out").exists()  # a failed run writes nothing
 
 
 def one_row_baseline(features, labels):

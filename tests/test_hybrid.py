@@ -22,7 +22,6 @@ from qdiag.hybrid import (
     new_hybrid_model,
     quantum_features,
     save_checkpoint,
-    summarize_runs,
     train_run,
     with_parameters,
 )
@@ -253,7 +252,7 @@ def test_training_reduces_loss_and_fits_the_blobs():
 
 def per_array_train_run(dataset, config, seed):
     """train_run written as a loop over the five arrays: hybrid_gradients,
-    an Adam step per array, and a model rebuilt by with_parameters.
+    an Adam step and state per array, and a model rebuilt by with_parameters.
 
     Returns the model, the epoch evaluations and the epoch it diverged in.
     """
@@ -261,7 +260,7 @@ def per_array_train_run(dataset, config, seed):
     rng = np.random.default_rng(seed)
     model = new_hybrid_model(fit_normalizer(train_x), seed=int(rng.integers(2**31 - 1)))
     params = model_parameters(model)
-    state = adam_init(params, lr=config.learning_rate)
+    states = [adam_init(p, lr=config.learning_rate) for p in params]
     evals = [evaluate(model, train_x, train_y)]
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
@@ -269,7 +268,8 @@ def per_array_train_run(dataset, config, seed):
             for lo in range(0, train_x.shape[0], config.batch_size):
                 pick = order[lo : lo + config.batch_size]
                 grads, _ = hybrid_gradients(model, train_x[pick], train_y[pick])
-                params, state = adam_step(params, grads, state)
+                stepped = [adam_step(p, g, st) for p, g, st in zip(params, grads, states)]
+                params, states = [p for p, _ in stepped], [st for _, st in stepped]
                 try:
                     model = with_parameters(model, params)
                 except ValueError:
@@ -338,27 +338,16 @@ def test_multi_seed_report_statistics():
     assert len(report.models) == 3
 
 
-def test_multi_seed_report_identical_seeds_have_zero_spread():
+def test_multi_seed_report_of_one_run_is_that_run():
     dataset = toy_dataset(per_class=15)
-    config = quick_config(epochs=2)
-    report = multi_seed_report(dataset, config, seeds=[3, 3])
-    assert report.std_test_accuracy == 0.0
-    assert report.std_train_loss == 0.0
-    assert report.mean_test_accuracy == report.runs[0].test_accuracy
-
-
-def test_multi_seed_report_needs_two_runs():
-    dataset = toy_dataset(per_class=15)
-    with pytest.raises(ValueError, match="at least 2"):
-        multi_seed_report(dataset, quick_config(), seeds=[0])
-
-
-def test_summarize_runs_single_run_is_that_run():
-    dataset = toy_dataset(per_class=15)
-    model, metrics = train_run(dataset, quick_config(epochs=2), seed=5)
-    report = summarize_runs([(model, metrics)])
-    assert len(report.runs) == 1 and report.runs[0] is metrics
-    assert report.models[0] is model
+    config = quick_config(epochs=2, num_runs=1, base_seed=5)
+    report = multi_seed_report(dataset, config)
+    model, metrics = train_run(dataset, config, seed=5)
+    assert len(report.runs) == len(report.models) == 1
+    assert report.runs[0].seed == 5
+    for p, q in zip(model_parameters(report.models[0]), model_parameters(model), strict=True):
+        assert np.array_equal(p, q)
+    assert np.array_equal(report.runs[0].epoch_train_loss, metrics.epoch_train_loss)
     assert report.mean_train_accuracy == metrics.final_train_accuracy
     assert report.mean_test_accuracy == metrics.test_accuracy
     assert report.mean_train_loss == metrics.final_train_loss
@@ -366,8 +355,6 @@ def test_summarize_runs_single_run_is_that_run():
     assert report.std_train_accuracy == report.std_test_accuracy == 0.0
     assert report.std_train_loss == report.std_test_loss == 0.0
     assert np.array_equal(report.pooled_confusion, metrics.confusion)
-    with pytest.raises(ValueError, match="no runs"):
-        summarize_runs([])
 
 
 # --- checkpoints ----------------------------------------------------------

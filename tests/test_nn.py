@@ -183,6 +183,8 @@ def test_forward_input_validation():
         mlp_forward_batch(model, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="finite"):
         mlp_forward_batch(model, np.array([[np.nan, 0, 0, 0, 0]]))
+    with pytest.raises(ValueError, match="batch of input rows"):
+        mlp_forward_batch(model, np.zeros(5))
 
 
 # --- backward pass --------------------------------------------------------
@@ -290,54 +292,51 @@ def test_gradients_match_finite_differences():
 
 def test_adam_first_step_size_is_the_learning_rate():
     # With bias correction the first update is lr * g / (|g| + eps').
-    params = [np.array([0.0])]
+    params = np.array([0.0])
     state = adam_init(params, lr=0.01)
-    new_params, state = adam_step(params, [np.array([5.0])], state)
-    assert abs(new_params[0][0] + 0.01) < 1e-9
+    new_params, state = adam_step(params, np.array([5.0]), state)
+    assert abs(new_params[0] + 0.01) < 1e-9
     assert state.step_count == 1
     # Scale invariance of the first step.
-    big, _ = adam_step([np.array([0.0])], [np.array([4000.0])], adam_init(params, 0.01))
-    assert abs(big[0][0] + 0.01) < 1e-9
+    big, _ = adam_step(np.array([0.0]), np.array([4000.0]), adam_init(params, 0.01))
+    assert abs(big[0] + 0.01) < 1e-9
 
 
 def test_adam_zero_gradient_is_a_no_op():
-    params = [np.array([1.5, -2.0])]
+    params = np.array([1.5, -2.0])
     state = adam_init(params, lr=0.1)
-    new_params, _ = adam_step(params, [np.zeros(2)], state)
-    assert np.array_equal(new_params[0], params[0])
+    new_params, _ = adam_step(params, np.zeros(2), state)
+    assert np.array_equal(new_params, params)
 
 
 def test_adam_descends_a_quadratic():
-    params = [np.array([3.0])]
+    params = np.array([3.0])
     state = adam_init(params, lr=0.05)
     for _ in range(400):
-        grads = [2.0 * params[0]]
-        params, state = adam_step(params, grads, state)
-    assert abs(params[0][0]) < 1e-2
+        params, state = adam_step(params, 2.0 * params, state)
+    assert abs(params[0]) < 1e-2
 
 
 def test_adam_is_deterministic_and_functional():
     rng = np.random.default_rng(9)
-    params = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-    grads = [rng.normal(size=(3, 2)), rng.normal(size=3)]
-    before = [p.copy() for p in params]
-    a1, s1 = adam_step(params, grads, adam_init(params, 0.01))
+    params = rng.normal(size=(3, 2))
+    grads = rng.normal(size=(3, 2))
+    before = params.copy()
+    state = adam_init(params, 0.01)
+    a1, s1 = adam_step(params, grads, state)
     a2, _ = adam_step(params, grads, adam_init(params, 0.01))
-    for x, y in zip(a1, a2):
-        assert np.array_equal(x, y)
-    for p, b in zip(params, before):
-        assert np.array_equal(p, b)  # inputs untouched
+    assert np.array_equal(a1, a2)
+    assert np.array_equal(params, before)  # inputs untouched
+    assert not state.m.any() and not state.v.any() and state.step_count == 0
     assert s1.step_count == 1
 
 
 def test_adam_validation():
     with pytest.raises(ValueError, match="learning rate"):
-        adam_init([np.zeros(1)], lr=0.0)
-    state = adam_init([np.zeros(2)], lr=0.01)
-    with pytest.raises(ValueError, match="align"):
-        adam_step([np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)], state)
+        adam_init(np.zeros(1), lr=0.0)
+    state = adam_init(np.zeros(2), lr=0.01)
     with pytest.raises(ValueError, match="shape"):
-        adam_step([np.zeros(2)], [np.zeros(3)], state)
+        adam_step(np.zeros(2), np.zeros(3), state)
     assert isinstance(state, AdamState)
 
 
@@ -360,7 +359,7 @@ def test_training_reduces_loss_on_separable_data():
     params = []
     for layer in model.layers:
         params.extend([layer.weights, layer.biases])
-    state = adam_init(params, lr=0.05)
+    states = [adam_init(p, lr=0.05) for p in params]
 
     losses = []
     for _ in range(80):
@@ -370,7 +369,8 @@ def test_training_reduces_loss_on_separable_data():
         flat_grads = []
         for i in range(len(model.layers)):
             flat_grads.extend([grads.weights[i], grads.biases[i]])
-        params, state = adam_step(params, flat_grads, state)
+        stepped = [adam_step(p, g, st) for p, g, st in zip(params, flat_grads, states)]
+        params, states = [p for p, _ in stepped], [st for _, st in stepped]
         for i, layer in enumerate(model.layers):
             layer.weights = params[2 * i]
             layer.biases = params[2 * i + 1]
