@@ -15,6 +15,7 @@ data comes in through a plain CSV bridge documented in the README.
 
 from __future__ import annotations
 
+import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -152,14 +153,25 @@ class Dataset:
         return np.bincount(self.labels, minlength=len(LABELS))
 
 
+def _check_target_rate(target_rate_hz: float) -> None:
+    """`downsample`'s rule for its target rate, for checking a flag early."""
+    if not target_rate_hz > 0:
+        raise ValueError(f"target rate must be positive, got {target_rate_hz}")
+
+
+def _check_window(length: int, overlap: int) -> None:
+    """`segment_signal`'s rule for its window, for checking flags early."""
+    if not (length > overlap >= 0):
+        raise ValueError(f"need length > overlap >= 0, got {length}, {overlap}")
+
+
 def downsample(signal: RawSignal, target_rate_hz: float) -> RawSignal:
     """Decimate to the target rate by keeping every k-th sample.
 
     No anti-alias filter is applied; this is deliberate plain decimation.
     The source rate must be an integer multiple of the target rate.
     """
-    if not target_rate_hz > 0:
-        raise ValueError(f"target rate must be positive, got {target_rate_hz}")
+    _check_target_rate(target_rate_hz)
     ratio = signal.sample_rate_hz / target_rate_hz
     k = round(ratio)
     if k < 1 or abs(ratio - k) > 1e-9:
@@ -179,8 +191,7 @@ def segment_signal(
 ) -> list[Segment]:
     """Slice into windows of `length` samples, consecutive ones sharing
     `overlap` samples; the trailing remainder is discarded."""
-    if not (length > overlap >= 0):
-        raise ValueError(f"need length > overlap >= 0, got {length}, {overlap}")
+    _check_window(length, overlap)
     n = signal.samples.size
     if n < length:
         raise ValueError(f"signal of {n} samples is shorter than a {length} window")
@@ -335,6 +346,9 @@ class SynthConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not self.duration_s * self.sample_rate_hz > 0.5:  # rounds to no sample
+            raise ValueError(f"duration_s {self.duration_s} at sample_rate_hz "
+                             f"{self.sample_rate_hz} gives no sample")
 
 
 def _ring_kernel(config: SynthConfig) -> np.ndarray:
@@ -413,6 +427,9 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
 # floats with 17 significant digits so the round-trip is bit-exact.
 # ---------------------------------------------------------------------------
 
+# Sample lines written or parsed at a time: the signal text held in memory.
+CHUNK = 65536
+
 
 @contextmanager
 def open_input(path):
@@ -434,12 +451,19 @@ def open_input(path):
 def save_signals_csv(signals: list[RawSignal], path) -> None:
     if not signals:
         raise ValueError("no signals to save")
+    for i, signal in enumerate(signals, start=1):
+        bad = np.flatnonzero(~np.isfinite(signal.samples))
+        if bad.size:
+            raise ValueError(f"record {i} ({signal.label}): sample {bad[0] + 1} must be "
+                             f"finite, got {float(signal.samples[bad[0]])!r}")
     with open(path, "w", encoding="ascii") as fh:
         for i, signal in enumerate(signals):
             if i:
                 fh.write("\n")
             fh.write(f"{signal.label},{signal.load_lbs!r},{signal.sample_rate_hz!r}\n")
-            fh.writelines(f"{v!r}\n" for v in signal.samples.tolist())
+            for start in range(0, signal.samples.size, CHUNK):
+                chunk = signal.samples[start : start + CHUNK].tolist()
+                fh.write("\n".join(map(repr, chunk)) + "\n")
 
 
 def _parse_float(text: str, line_no: int, what: str) -> float:
@@ -462,11 +486,13 @@ def _parse_label(text: str, line_no: int) -> str:
 def load_signals_csv(path) -> list[RawSignal]:
     signals: list[RawSignal] = []
     with open_input(path) as fh:
-        lines = enumerate(fh, start=1)
-        for header_no, raw in lines:
+        lines, line_no = fh, 0
+        while (raw := next(lines, None)) is not None:
+            line_no += 1
             line = raw.strip()
             if not line:
                 continue
+            header_no = line_no
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(
@@ -478,19 +504,40 @@ def load_signals_csv(path) -> list[RawSignal]:
             rate = _parse_float(parts[2], header_no, "sample_rate_hz")
             if rate <= 0:
                 raise ValueError(f"line {header_no}: sample rate must be positive")
-            samples: list[float] = []
-            for line_no, raw in lines:  # the block's samples, up to a blank line
-                line = raw.strip()
-                if not line:
-                    break
-                if "," in line:
-                    raise ValueError(
-                        f"line {line_no}: expected one sample value, got {line!r}"
-                    )
-                samples.append(_parse_float(line, line_no, "sample"))
-            if not samples:
+            chunks: list[np.ndarray] = []
+            while not chunks or chunks[-1].size == CHUNK:  # a short chunk ends the block
+                chunk = list(itertools.islice(lines, CHUNK))
+                # A blank line ends the block; numpy parses the samples before it.
+                end = chunk.index("\n") if "\n" in chunk else len(chunk)
+                try:
+                    values = np.array(chunk[:end], dtype=np.float64)
+                except ValueError:  # bad text, or a block end made of spaces
+                    values = None
+                if values is None or not np.isfinite(values).all():
+                    # The line loop names the bad line or finds a line of spaces.
+                    parsed = []
+                    for n, raw in enumerate(chunk, start=line_no + 1):
+                        line = raw.strip()
+                        if not line:
+                            break
+                        if "," in line:
+                            raise ValueError(
+                                f"line {n}: expected one sample value, got {line!r}"
+                            )
+                        parsed.append(_parse_float(line, n, "sample"))
+                    values = np.array(parsed, dtype=np.float64)
+                    end = values.size
+                chunks.append(values)
+                line_no += end
+                if end < len(chunk):  # chunk[end] is the blank line that ends the block
+                    line_no += 1
+                    # The rest is shorter than a chunk, so the next block's
+                    # first chunk drains it before it reads on from the file.
+                    lines = itertools.chain(chunk[end + 1 :], fh)
+            samples = np.concatenate(chunks)
+            if not samples.size:
                 raise ValueError(f"line {header_no}: signal block has no samples")
-            signals.append(RawSignal(np.array(samples), rate, label, load))
+            signals.append(RawSignal(samples, rate, label, load))
         if not signals:
             raise ValueError("no signal blocks found")
         return signals

@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
+import qdiag.data
 from qdiag.cli import main
 from qdiag.data import (
     Dataset,
@@ -100,11 +102,22 @@ def test_synth_different_seed_changes_output(tmp_path):
 def test_synth_rejects_bad_flags(tmp_path, capsys):
     out = tmp_path / "x.csv"
     for flag, value in (("--noise", "-1"), ("--duration", "inf"), ("--rate", "inf"),
-                        ("--noise", "nan")):
+                        ("--noise", "nan"), ("--duration", "1e-9")):
         assert main(["synth", flag, value, "--out", str(out)]) == 1, flag + value
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
         assert not out.exists()
+
+
+def test_synth_writes_no_file_that_features_would_refuse(tmp_path, capsys):
+    out = tmp_path / "n.csv"
+    assert main(["synth", "--noise", "1e308", "--per-class", "1", "--duration", "0.2",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert re.fullmatch(r"error: record 1 \(baseline\): sample \d+ must be finite, got -?inf",
+                        err[0]), err
+    assert not out.exists()
 
 
 # --- features -----------------------------------------------------------------
@@ -197,6 +210,30 @@ def test_features_errors_after_loading_name_the_file(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {signals_path}: {message}"), err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--length", "0"], "need length > overlap >= 0, got 0, 200"),
+        (["--overlap", "5000"], "need length > overlap >= 0, got 4000, 5000"),
+        (["--overlap", "-1"], "need length > overlap >= 0, got 4000, -1"),
+        (["--target-rate", "0"], "target rate must be positive, got 0.0"),
+        (["--target-rate", "nan"], "target rate must be positive, got nan"),
+        (["--target-rate", "-3"], "target rate must be positive, got -3.0"),
+    ],
+)
+def test_features_checks_its_flags_before_opening_the_input(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    signals_path = tmp_path / "signals.csv"
+    save_signals_csv([RawSignal(np.zeros(8000), 97656.0, "baseline")], signals_path)
+    opened = []
+    monkeypatch.setattr(qdiag.data, "open_input", opened.append)
+    out_path = tmp_path / "f.csv"
+    assert main(["features", "--in", str(signals_path), "--out", str(out_path), *flags]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert opened == [] and not out_path.exists()
 
 
 def test_features_missing_input(tmp_path, capsys):

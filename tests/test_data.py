@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import qdiag.data
 from qdiag.data import (
     AMPLITUDE_JITTER,
+    CHUNK,
     LABELS,
     SHAFT_AMPLITUDE,
     Dataset,
@@ -338,6 +340,9 @@ def test_synth_config_validation():
         synth_generate(small_config(duration_s=0.0))
     with pytest.raises(ValueError, match="num_classes"):
         synth_generate(SynthConfig(num_classes=4))
+    with pytest.raises(ValueError, match=r"^duration_s 1e-09 at sample_rate_hz 97656\.0 "
+                                         r"gives no sample$"):
+        synth_generate(SynthConfig(duration_s=1e-9))
 
 
 def test_synth_default_record_geometry():
@@ -414,6 +419,117 @@ def test_signals_csv_error_positions(tmp_path):
     with pytest.raises(ValueError, match="not ASCII text") as info:
         load_signals_csv(path)
     assert str(info.value) == f"{path}: not ASCII text"
+
+
+# Signal text is written and parsed CHUNK sample lines at a time; these
+# files put their defects and block ends at and around the chunk edges.
+HEADER = "baseline,270.0,97656.0"
+BAD_SAMPLES = {
+    "inf": "sample must be finite, got 'inf'",
+    "nan": "sample must be finite, got 'nan'",
+    "abc": "sample is not a number: 'abc'",
+    "1.0,2.0": "expected one sample value, got '1.0,2.0'",
+}
+
+
+def sample_lines(n, seed=0):
+    return [repr(v) + "\n" for v in np.random.default_rng(seed).normal(size=n).tolist()]
+
+
+@pytest.mark.parametrize("line_no", [7, CHUNK, CHUNK + 1, CHUNK + 2, 2 * CHUNK + 19])
+@pytest.mark.parametrize("bad", list(BAD_SAMPLES))
+def test_signals_csv_bad_sample_names_its_line_at_chunk_edges(tmp_path, bad, line_no):
+    lines = [HEADER + "\n"] + sample_lines(2 * CHUNK + 30)
+    lines[line_no - 1] = bad + "\n"
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        load_signals_csv(path)
+    assert str(info.value) == f"{path}: line {line_no}: {BAD_SAMPLES[bad]}"
+
+
+@pytest.mark.parametrize("blank_no", [CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("separator", ["\n", "  \n", "\n\n"], ids=["blank", "spaces", "two"])
+def test_signals_csv_block_ends_at_chunk_edges(tmp_path, separator, blank_no):
+    first, second = sample_lines(blank_no - 2, seed=1), sample_lines(CHUNK + 3, seed=2)
+    path = tmp_path / "two.csv"
+    path.write_text("".join([HEADER + "\n", *first, separator,
+                             "inner_ring,0.0,48828.0\n", *second]))
+    a, b = load_signals_csv(path)
+    assert (a.label, b.label, b.sample_rate_hz) == ("baseline", "inner_ring", 48828.0)
+    assert a.samples.tolist() == [float(v) for v in first]
+    assert b.samples.tolist() == [float(v) for v in second]
+
+
+def test_signals_csv_blank_block_ends_stay_off_the_line_loop(tmp_path, monkeypatch):
+    """Short records and chunks that hold a block end parse each sample once,
+    in numpy: the per-line parse only sees the two numbers of each header."""
+    blocks = [sample_lines(n, seed=n) for n in (1000, 5, CHUNK + 7, 3000, 1)]
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(HEADER + "\n" + "".join(b) for b in blocks))
+    parse_float, calls = qdiag.data._parse_float, []
+    monkeypatch.setattr(qdiag.data, "_parse_float",
+                        lambda *args: calls.append(args[2]) or parse_float(*args))
+    signals = load_signals_csv(path)
+    assert calls == ["load_lbs", "sample_rate_hz"] * len(blocks)
+    for block, signal in zip(blocks, signals):
+        assert signal.samples.tolist() == [float(v) for v in block]
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("count", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_signals_csv_line_endings_at_chunk_edges(tmp_path, count, newline, final_newline):
+    values = [v.strip() for v in sample_lines(count, seed=3)]
+    text = newline.join([HEADER, *values]) + (newline if final_newline else "")
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("ascii"))
+    (signal,) = load_signals_csv(path)
+    assert signal.samples.tolist() == [float(v) for v in values]
+
+
+def test_signals_csv_round_trip_is_bit_exact_across_chunks(tmp_path):
+    extremes = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 0.0, -0.0, 1.7e308, -1.7e308]
+    first = np.random.default_rng(4).normal(size=2 * CHUNK + 5)
+    for at in (0, CHUNK - 3, 2 * CHUNK - 2):
+        first[at : at + len(extremes)] = extremes
+    signals = [make_signal(first, rate=97656.0), make_signal(extremes, label="outer_ring")]
+    path = tmp_path / "signals.csv"
+    save_signals_csv(signals, path)
+    reference = "\n".join(
+        f"{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
+        + "".join(f"{v!r}\n" for v in s.samples.tolist())
+        for s in signals
+    )
+    assert path.read_text() == reference
+    for orig, back in zip(signals, load_signals_csv(path)):
+        assert back.samples.tobytes() == orig.samples.tobytes()
+
+
+def test_signals_csv_writer_refuses_non_finite_samples(tmp_path):
+    path = tmp_path / "signals.csv"
+    samples = np.zeros(CHUNK + 10)
+    samples[CHUNK + 2] = -np.inf
+    signals = [make_signal(np.ones(5)), make_signal(samples, label="inner_ring")]
+    with pytest.raises(ValueError) as info:
+        save_signals_csv(signals, path)
+    assert str(info.value) == (
+        f"record 2 (inner_ring): sample {CHUNK + 3} must be finite, got -inf"
+    )
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("text", ["1_0", " 1.5 ", "\t2", "1e400", "nan", "0x10"])
+def test_numpy_parses_sample_text_like_float(text):
+    """The chunk parse and the line loop must accept the same text."""
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array([text], dtype=np.float64)
+        return
+    parsed = np.array([text], dtype=np.float64)
+    assert parsed.tobytes() == np.array([expected]).tobytes()
 
 
 def test_features_csv_round_trip(tmp_path):
