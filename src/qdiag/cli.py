@@ -155,7 +155,6 @@ def _cmd_train(args) -> int:
         num_runs=args.runs,
         base_seed=args.seed,
     )
-    config.validate()
     if not 0.0 < args.train_frac < 1.0:
         raise ValueError(f"--train-frac must be in (0, 1), got {args.train_frac}")
     dataset = load_features_csv(args.input)
@@ -230,6 +229,17 @@ def _cmd_gradcheck(args) -> int:
     return 1 if failed else 0
 
 
+def _seed(text: str) -> int:
+    """A `--seed` value; numpy's generators take non-negative integers only."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Flag errors end like every other failure: one `error:` line, exit 1."""
 
@@ -245,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate synthetic labeled vibration records")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", default="signals.csv", help="output signal CSV")
     p.add_argument("--per-class", type=int, default=6, dest="per_class",
                    help="records per class (default 6)")
@@ -272,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train seeded model(s) on a feature CSV")
     p.add_argument("--in", required=True, dest="input", help="input feature CSV")
     p.add_argument("--out", default="train_out", help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_seed, default=0,
                    help="base seed; run r uses seed + r (default 0)")
     p.add_argument("--lr", type=float, default=0.01, help="Adam learning rate")
     p.add_argument("--epochs", type=int, default=150, help="epochs per run")
@@ -294,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_predict)
 
     p = sub.add_parser("gradcheck", help="cross-check analytic gradients")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     p.add_argument("--corrupt", action="store_true",
                    help="bias one analytic gradient on purpose (checker self-test)")
     p.set_defaults(handler=_cmd_gradcheck)

@@ -37,12 +37,6 @@ DEFAULT_TARGET_RATE_HZ = 48828.0
 FEATURE_CSV_HEADER = "mean,variance,max_amplitude,peak_to_peak,rms,label"
 
 
-def _check_label(label: str) -> str:
-    if label not in LABEL_TO_INDEX:
-        raise ValueError(f"unknown label {label!r}, expected one of {LABELS}")
-    return label
-
-
 @dataclass
 class RawSignal:
     """One vibration record: samples at a fixed rate, plus metadata."""
@@ -58,7 +52,8 @@ class RawSignal:
             raise ValueError("samples must be a nonempty 1-D array")
         if not self.sample_rate_hz > 0:
             raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
-        _check_label(self.label)
+        if self.label not in LABEL_TO_INDEX:
+            raise ValueError(f"unknown label {self.label!r}, expected one of {LABELS}")
 
 
 @dataclass(frozen=True)
@@ -267,17 +262,19 @@ def fit_normalizer(features: np.ndarray) -> NormalizerParams:
 def apply_normalizer(params: NormalizerParams, features: np.ndarray) -> np.ndarray:
     """Min-max scale into [0, 1], clamping values outside the fit range.
 
-    A degenerate feature (max == min during fit) maps to 0.5 everywhere.
+    The one check of raw feature rows: finite, and as wide as the fit.  A
+    degenerate feature (max == min during fit) maps to 0.5 everywhere.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[-1] != params.num_features:
-        raise ValueError(
-            f"expected {params.num_features} features, got {features.shape[-1]}"
-        )
+    rows = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if rows.ndim != 2 or rows.shape[1] != params.num_features:
+        raise ValueError(f"expected {params.num_features} features per row, "
+                         f"got shape {np.shape(features)}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("features contain non-finite values")
     span = params.maximum - params.minimum
     safe_span = np.where(span > 0.0, span, 1.0)
     with np.errstate(over="ignore"):  # far-out values overflow to +-inf, then clamp
-        scaled = (features - params.minimum) / safe_span
+        scaled = (rows - params.minimum) / safe_span
     scaled = np.clip(scaled, 0.0, 1.0)
     return np.where(span > 0.0, scaled, 0.5)
 
@@ -321,7 +318,7 @@ RING_HZ = 2500.0
 RING_DECAY_S = 0.001
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Size and noise of a synthetic batch; defaults give three separable
     classes.  The rig itself is fixed by the module constants above."""
@@ -332,7 +329,7 @@ class SynthConfig:
     sample_rate_hz: float = 97656.0
     noise_std: float = 0.1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -346,9 +343,11 @@ class SynthConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.noise_std < 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
-        if not self.duration_s * self.sample_rate_hz > 0.5:  # rounds to no sample
+        count = self.duration_s * self.sample_rate_hz
+        if not 0.5 < count < math.inf:  # rounds to no sample, or overflows
+            gives = "no sample" if count <= 0.5 else "an infinite sample count"
             raise ValueError(f"duration_s {self.duration_s} at sample_rate_hz "
-                             f"{self.sample_rate_hz} gives no sample")
+                             f"{self.sample_rate_hz} gives {gives}")
 
 
 def _ring_kernel(config: SynthConfig) -> np.ndarray:
@@ -411,7 +410,6 @@ def _synth_one(config: SynthConfig, rng: np.random.Generator, label: str) -> Raw
 
 def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
     """Seeded synthetic records, `signals_per_class` per class in label order."""
-    config.validate()
     rng = np.random.default_rng(seed)
     signals = []
     for label in LABELS[: config.num_classes]:

@@ -71,9 +71,9 @@ class HybridModel:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of one training protocol."""
+    """Hyperparameters of one training protocol, checked on construction."""
 
     learning_rate: float = 0.01
     epochs: int = 150
@@ -81,11 +81,10 @@ class TrainConfig:
     num_runs: int = 25
     base_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ValueError(
-                f"learning_rate must be positive and finite, got {self.learning_rate}"
-            )
+            raise ValueError(f"learning_rate must be positive and finite, "
+                             f"got {self.learning_rate}")
         for name in ("epochs", "batch_size", "num_runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -150,28 +149,19 @@ def new_hybrid_model(
     return HybridModel(normalizer, pqc, mlp)
 
 
-def _as_feature_batch(model: HybridModel, features) -> np.ndarray:
-    batch = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if batch.ndim != 2 or batch.shape[1] != model.normalizer.num_features:
-        raise ValueError(
-            f"expected rows of {model.normalizer.num_features} features, "
-            f"got shape {np.asarray(features).shape}"
-        )
-    if not np.all(np.isfinite(batch)):
-        raise ValueError("features contain non-finite values")
-    return batch
-
-
 def quantum_features(model: HybridModel, features) -> np.ndarray:
     """Normalized-and-measured circuit outputs for raw feature rows."""
-    batch = _as_feature_batch(model, features)
-    normed = apply_normalizer(model.normalizer, batch)
-    return pqc_expectations_batch(normed, model.pqc)
+    return pqc_expectations_batch(apply_normalizer(model.normalizer, features), model.pqc)
+
+
+def _forward_normed(model: HybridModel, normed: np.ndarray) -> np.ndarray:
+    """Class probabilities for rows that `apply_normalizer` checked and scaled."""
+    probs, _ = mlp_forward_batch(model.mlp, pqc_expectations_batch(normed, model.pqc))
+    return probs
 
 
 def hybrid_forward_batch(model: HybridModel, features) -> np.ndarray:
-    probs, _ = mlp_forward_batch(model.mlp, quantum_features(model, features))
-    return probs
+    return _forward_normed(model, apply_normalizer(model.normalizer, features))
 
 
 def hybrid_forward(model: HybridModel, features) -> np.ndarray:
@@ -234,11 +224,8 @@ def hybrid_gradients(
     then sum over the batch; the 1/batch factor already rides on the input
     gradient.
     """
-    batch = _as_feature_batch(model, features)
     labels = np.asarray(labels)
-    if labels.shape != (batch.shape[0],):
-        raise ValueError(f"expected {batch.shape[0]} labels, got shape {labels.shape}")
-    grads, probs = _gradients(model, apply_normalizer(model.normalizer, batch), labels)
+    grads, probs = _gradients(model, apply_normalizer(model.normalizer, features), labels)
     return grads, _mean_cross_entropy(probs, labels)
 
 
@@ -251,11 +238,18 @@ class EvalResult:
 
 def evaluate(model: HybridModel, features, labels) -> EvalResult:
     """Accuracy (as confusion trace / total), mean loss, and counts."""
+    normed = apply_normalizer(model.normalizer, features)
     labels = np.asarray(labels)
-    probs = hybrid_forward_batch(model, features)
+    bad = labels[(labels < 0) | (labels >= len(LABELS))]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {len(LABELS)} classes")
+    return _score(model, normed, labels)
+
+
+def _score(model: HybridModel, normed: np.ndarray, labels: np.ndarray) -> EvalResult:
+    probs = _forward_normed(model, normed)
     predicted = np.argmax(probs, axis=1)
-    classes = len(LABELS)
-    confusion = np.zeros((classes, classes), dtype=np.int64)
+    confusion = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
     return EvalResult(accuracy, _mean_cross_entropy(probs, labels), confusion)
@@ -283,7 +277,6 @@ def train_run(
 ) -> tuple[HybridModel, RunMetrics]:
     """One seeded run: fit the normalizer on the train split, train with
     mini-batch Adam, evaluate the test split once at the end."""
-    config.validate()
     train_x, train_y = dataset.train
     test_x, test_y = dataset.test
     _check_split_classes(train_y, "train")
@@ -303,9 +296,9 @@ def train_run(
     n_train = train_x.shape[0]
     curve_acc = np.empty(config.epochs + 1)
     curve_loss = np.empty(config.epochs + 1)
-    start_eval = evaluate(model, train_x, train_y)  # validates the train rows
-    curve_acc[0], curve_loss[0] = start_eval.accuracy, start_eval.loss
     normed = apply_normalizer(normalizer, train_x)
+    start_eval = _score(model, normed, train_y)
+    curve_acc[0], curve_loss[0] = start_eval.accuracy, start_eval.loss
 
     # Too large a learning rate overflows in the network; that is reported
     # once, as divergence, instead of as numpy warnings.
@@ -320,7 +313,7 @@ def train_run(
                 if not np.all(np.isfinite(updated)):
                     raise _diverged(epoch, config)
                 theta[:] = updated
-            epoch_eval = evaluate(model, train_x, train_y)
+            epoch_eval = _score(model, normed, train_y)
             if not math.isfinite(epoch_eval.loss):
                 raise _diverged(epoch, config)
             curve_acc[epoch], curve_loss[epoch] = epoch_eval.accuracy, epoch_eval.loss
@@ -346,7 +339,6 @@ def multi_seed_report(dataset: Dataset, config: TrainConfig) -> SummaryReport:
     Std is the sample standard deviation (ddof = 1); a single run has no
     spread and reports 0.0, with its own numbers as the means.
     """
-    config.validate()
     results = [
         train_run(dataset, config, config.base_seed + i) for i in range(config.num_runs)
     ]

@@ -120,6 +120,39 @@ def test_synth_writes_no_file_that_features_would_refuse(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_whose_sample_count_overflows_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["synth", "--per-class", "1", "--duration", "1e200", "--rate", "1e200",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: duration_s 1e+200 at sample_rate_hz 1e+200 gives an infinite sample count"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "expected a non-negative integer, got -1"),
+    ("abc", "invalid int value: 'abc'"),
+])
+def test_bad_seed_is_a_flag_error(tmp_path, capsys, monkeypatch, command, seed, message):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    out = tmp_path / "out"
+    argv = {
+        "synth": ["synth", "--out", str(out)],
+        "train": ["train", "--in", str(features_path), "--out", str(out)],
+        "gradcheck": ["gradcheck"],
+    }[command]
+    opened = []
+    monkeypatch.setattr(qdiag.data, "open_input", opened.append)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--seed", seed])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: argument --seed: {message}"]
+    assert opened == [] and not out.exists()
+
+
 # --- features -----------------------------------------------------------------
 
 

@@ -1,5 +1,8 @@
 """Tests for the signal pipeline: decimation, windows, features, CSV."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -204,6 +207,10 @@ def test_normalizer_span_is_finite_and_far_values_clamp_quietly():
     params = fit_normalizer(np.array([[0.0, -1e308], [1e-3, 0.0]]))
     out = apply_normalizer(params, np.array([[1e308, 1e308], [-1e308, -1e308]]))
     assert np.array_equal(out, [[1.0, 1.0], [0.0, 0.0]])
+    # Values past the float range are refused, not clamped.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^features contain non-finite values$"):
+            apply_normalizer(params, np.array([[0.0, 0.0], [bad, 0.0]]))
 
 
 def test_normalizer_needs_two_rows():
@@ -224,6 +231,10 @@ def test_normalizer_feature_count_mismatch():
     params = fit_normalizer(np.zeros((2, 5)) + [[0.0] * 5, [1.0] * 5])
     with pytest.raises(ValueError, match="expected 5"):
         apply_normalizer(params, np.zeros((3, 4)))
+    for shape in ((3, 4), (4,), (2, 3, 5)):
+        with pytest.raises(ValueError, match=rf"^expected 5 features per row, "
+                                             rf"got shape {re.escape(str(shape))}$"):
+            apply_normalizer(params, np.zeros(shape))
 
 
 # --- splitting ------------------------------------------------------------
@@ -343,6 +354,15 @@ def test_synth_config_validation():
     with pytest.raises(ValueError, match=r"^duration_s 1e-09 at sample_rate_hz 97656\.0 "
                                          r"gives no sample$"):
         synth_generate(SynthConfig(duration_s=1e-9))
+    with pytest.raises(ValueError, match=r"^duration_s 1e\+200 at sample_rate_hz 1e\+200 "
+                                         r"gives an infinite sample count$"):
+        SynthConfig(duration_s=1e200, sample_rate_hz=1e200)
+
+
+def test_synth_config_is_frozen():
+    config = SynthConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.duration_s = 0.0
 
 
 def test_synth_default_record_geometry():

@@ -1,5 +1,6 @@
 """Tests for the joint circuit + network model and its training loop."""
 
+import dataclasses
 import json
 import math
 
@@ -198,6 +199,14 @@ def test_evaluate_confusion_consistency():
     assert np.array_equal(result.confusion.sum(axis=1), np.bincount(labels, minlength=3))
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_evaluate_refuses_labels_outside_the_label_set(bad):
+    model = new_hybrid_model(IDENTITY_NORM, seed=21)
+    labels = np.array([0, 1, bad, 2])
+    with pytest.raises(ValueError, match=rf"^label {bad} out of range for 3 classes$"):
+        evaluate(model, np.full((4, 5), 0.5), labels)
+
+
 def test_confusion_row_percent():
     rows = confusion_row_percent(np.array([[8, 2, 0], [0, 10, 0], [0, 0, 0]]))
     assert np.allclose(rows[0], [80.0, 20.0, 0.0])
@@ -239,6 +248,16 @@ def test_train_curves_start_at_the_fresh_model():
     assert 0.5 * np.log(3.0) < metrics.epoch_train_loss[0] < 2.5 * np.log(3.0)
     assert metrics.final_train_loss == metrics.epoch_train_loss[-1]
     assert metrics.final_train_accuracy == metrics.epoch_train_accuracy[-1]
+
+
+def test_train_curve_ends_at_the_public_evaluate_of_the_train_split():
+    # train_run scores epochs on rows it normalized once; public evaluate
+    # checks and normalizes the raw rows itself.  Both give the same bits.
+    dataset = toy_dataset()
+    model, metrics = train_run(dataset, quick_config(epochs=3), seed=2)
+    result = evaluate(model, *dataset.train)
+    assert metrics.epoch_train_accuracy[-1] == result.accuracy
+    assert metrics.epoch_train_loss[-1] == result.loss
 
 
 def test_training_reduces_loss_and_fits_the_blobs():
@@ -318,7 +337,13 @@ def test_train_config_validation():
         dict(batch_size=0),
     ):
         with pytest.raises(ValueError):
-            quick_config(**bad).validate()
+            quick_config(**bad)
+
+
+def test_train_config_is_frozen():
+    config = quick_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.epochs = 0
 
 
 def test_multi_seed_report_statistics():
