@@ -23,8 +23,8 @@ from .data import (
     LABELS,
     SHORT_LABELS,
     SynthConfig,
-    _check_target_rate,
-    _check_window,
+    check_target_rate,
+    check_window,
     dataset_from_features,
     downsample,
     extract_features,
@@ -67,8 +67,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    _check_target_rate(args.target_rate)
-    _check_window(args.length, args.overlap)
+    check_target_rate(args.target_rate)
+    check_window(args.length, args.overlap)
     signals = load_signals_csv(args.input)
     features = []
     warnings = []

@@ -117,11 +117,20 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.labels.shape != (self.features.shape[0],):
+        if labels.shape != (self.features.shape[0],):
             raise ValueError("one label per feature row required")
+        # The label rule of the loss in `nn`, in its words, before the cast.
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+        outside = (labels < 0) | (labels >= len(LABELS))
+        if outside.any():
+            raise ValueError(
+                f"label {labels[outside][0]} out of range for {len(LABELS)} classes"
+            )
+        self.labels = labels.astype(np.int64)
         if self.train_mask is not None:
             self.train_mask = np.asarray(self.train_mask, dtype=bool)
             if self.train_mask.shape != self.labels.shape:
@@ -148,13 +157,13 @@ class Dataset:
         return np.bincount(self.labels, minlength=len(LABELS))
 
 
-def _check_target_rate(target_rate_hz: float) -> None:
+def check_target_rate(target_rate_hz: float) -> None:
     """`downsample`'s rule for its target rate, for checking a flag early."""
     if not target_rate_hz > 0:
         raise ValueError(f"target rate must be positive, got {target_rate_hz}")
 
 
-def _check_window(length: int, overlap: int) -> None:
+def check_window(length: int, overlap: int) -> None:
     """`segment_signal`'s rule for its window, for checking flags early."""
     if not (length > overlap >= 0):
         raise ValueError(f"need length > overlap >= 0, got {length}, {overlap}")
@@ -166,9 +175,9 @@ def downsample(signal: RawSignal, target_rate_hz: float) -> RawSignal:
     No anti-alias filter is applied; this is deliberate plain decimation.
     The source rate must be an integer multiple of the target rate.
     """
-    _check_target_rate(target_rate_hz)
+    check_target_rate(target_rate_hz)
     ratio = signal.sample_rate_hz / target_rate_hz
-    k = round(ratio)
+    k = round(ratio) if math.isfinite(ratio) else 0  # inf cannot round
     if k < 1 or abs(ratio - k) > 1e-9:
         raise ValueError(
             f"sample rate {signal.sample_rate_hz} is not an integer multiple "
@@ -186,7 +195,7 @@ def segment_signal(
 ) -> list[Segment]:
     """Slice into windows of `length` samples, consecutive ones sharing
     `overlap` samples; the trailing remainder is discarded."""
-    _check_window(length, overlap)
+    check_window(length, overlap)
     n = signal.samples.size
     if n < length:
         raise ValueError(f"signal of {n} samples is shorter than a {length} window")

@@ -15,13 +15,12 @@ import numpy as np
 from .data import NormalizerParams
 from .hybrid import (
     HybridModel,
-    _mean_cross_entropy,
     hybrid_forward_batch,
     hybrid_gradients,
     model_parameters,
     new_hybrid_model,
 )
-from .nn import init_mlp, mlp_backward_batch, mlp_forward_batch
+from .nn import cross_entropy, init_mlp, mlp_backward_batch, mlp_forward_batch
 from .pqc import (
     RZ_ANGLE,
     pqc_gradient_finite_difference,
@@ -104,7 +103,7 @@ def _check_mlp(rng: np.random.Generator, draws: int = 5) -> float:
             a for w, b in zip(grads.weights, grads.biases) for a in (w, b)
         ]
         numeric = _central_differences(
-            lambda: _mean_cross_entropy(mlp_forward_batch(model, batch)[0], labels),
+            lambda: cross_entropy(mlp_forward_batch(model, batch)[0], labels),
             arrays,
             step=1e-5,
         )
@@ -120,9 +119,8 @@ def numeric_hybrid_gradients(
     """Central-difference gradient over every trainable scalar, built from
     forward passes alone.  The model's arrays are perturbed in place and
     left as they were found."""
-    labels = np.asarray(labels)
     return _central_differences(
-        lambda: _mean_cross_entropy(hybrid_forward_batch(model, features), labels),
+        lambda: cross_entropy(hybrid_forward_batch(model, features), labels),
         model_parameters(model),
         step,
     )

@@ -29,11 +29,11 @@ from .data import (
     open_input,
 )
 from .nn import (
-    PROB_FLOOR,
     DenseLayer,
     MlpModel,
     adam_init,
     adam_step,
+    cross_entropy,
     init_mlp,
     mlp_backward_batch,
     mlp_forward_batch,
@@ -149,11 +149,6 @@ def new_hybrid_model(
     return HybridModel(normalizer, pqc, mlp)
 
 
-def quantum_features(model: HybridModel, features) -> np.ndarray:
-    """Normalized-and-measured circuit outputs for raw feature rows."""
-    return pqc_expectations_batch(apply_normalizer(model.normalizer, features), model.pqc)
-
-
 def _forward_normed(model: HybridModel, normed: np.ndarray) -> np.ndarray:
     """Class probabilities for rows that `apply_normalizer` checked and scaled."""
     probs, _ = mlp_forward_batch(model.mlp, pqc_expectations_batch(normed, model.pqc))
@@ -170,11 +165,6 @@ def hybrid_forward(model: HybridModel, features) -> np.ndarray:
     if features.ndim != 1:
         raise ValueError("hybrid_forward takes one sample; use hybrid_forward_batch")
     return hybrid_forward_batch(model, features[None, :])[0]
-
-
-def _mean_cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(labels.size), labels]
-    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 def model_parameters(model: HybridModel) -> list[np.ndarray]:
@@ -224,9 +214,8 @@ def hybrid_gradients(
     then sum over the batch; the 1/batch factor already rides on the input
     gradient.
     """
-    labels = np.asarray(labels)
     grads, probs = _gradients(model, apply_normalizer(model.normalizer, features), labels)
-    return grads, _mean_cross_entropy(probs, labels)
+    return grads, cross_entropy(probs, labels)
 
 
 @dataclass
@@ -238,21 +227,17 @@ class EvalResult:
 
 def evaluate(model: HybridModel, features, labels) -> EvalResult:
     """Accuracy (as confusion trace / total), mean loss, and counts."""
-    normed = apply_normalizer(model.normalizer, features)
-    labels = np.asarray(labels)
-    bad = labels[(labels < 0) | (labels >= len(LABELS))]
-    if bad.size:
-        raise ValueError(f"label {bad[0]} out of range for {len(LABELS)} classes")
-    return _score(model, normed, labels)
+    return _score(model, apply_normalizer(model.normalizer, features), np.asarray(labels))
 
 
 def _score(model: HybridModel, normed: np.ndarray, labels: np.ndarray) -> EvalResult:
     probs = _forward_normed(model, normed)
+    loss = cross_entropy(probs, labels)  # checks the labels before they index
     predicted = np.argmax(probs, axis=1)
     confusion = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
     np.add.at(confusion, (labels, predicted), 1)
     accuracy = float(np.trace(confusion) / confusion.sum())
-    return EvalResult(accuracy, _mean_cross_entropy(probs, labels), confusion)
+    return EvalResult(accuracy, loss, confusion)
 
 
 def _check_split_classes(labels: np.ndarray, side: str) -> None:
@@ -384,8 +369,10 @@ def save_checkpoint(model: HybridModel, path) -> None:
             ]
         },
     }
+    # Serialized first, so a model that cannot be written leaves no file.
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
+        fh.write(text)
 
 
 def _field(doc: dict, key: str, where: str):

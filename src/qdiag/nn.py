@@ -99,12 +99,29 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(probs: np.ndarray, label: int) -> float:
-    """-ln P(correct class), with the probability floored at PROB_FLOOR."""
+def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
+    """The label rule of the loss and its gradient: one integer label per
+    row, each in range(classes)."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,):
+        raise ValueError(f"expected {rows} labels, got shape {labels.shape}")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    outside = (labels < 0) | (labels >= classes)
+    if outside.any():
+        raise ValueError(f"label {labels[outside][0]} out of range for {classes} classes")
+    return labels
+
+
+def cross_entropy(probs: np.ndarray, labels) -> float:
+    """Mean -ln P(correct class) over the rows of `probs`, each probability
+    floored at PROB_FLOOR.  A single 1-D row takes a single label."""
     probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[-1]:
-        raise ValueError(f"label {label} out of range for {probs.shape[-1]} classes")
-    return float(-np.log(max(float(probs[label]), PROB_FLOOR)))
+    if probs.ndim == 1:
+        probs, labels = probs[None, :], np.asarray(labels)[None]
+    labels = _check_labels(labels, *probs.shape)
+    picked = probs[np.arange(labels.size), labels]
+    return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 def init_mlp(shape: tuple[int, ...] = (5, 10, 3), seed: int = 0) -> MlpModel:
@@ -168,13 +185,9 @@ def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradi
     gradient keeps its per-sample rows (each already scaled by 1/batch) so
     a caller can chain it into whatever produced each sample.
     """
-    labels = np.asarray(labels)
     probs = cache.probs
     n, classes = probs.shape
-    if labels.shape != (n,):
-        raise ValueError(f"expected {n} labels, got shape {labels.shape}")
-    if np.any(labels < 0) or np.any(labels >= classes):
-        raise ValueError("label out of range")
+    labels = _check_labels(labels, n, classes)
     onehot = np.zeros_like(probs)
     onehot[np.arange(n), labels] = 1.0
     # Fused softmax + cross-entropy gradient, averaged over the batch.

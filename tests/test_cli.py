@@ -245,6 +245,17 @@ def test_features_errors_after_loading_name_the_file(
     assert not out_path.exists()
 
 
+def test_features_target_rate_whose_ratio_overflows_is_one_error_line(tmp_path, capsys):
+    signals_path = tmp_path / "signals.csv"
+    save_signals_csv([RawSignal(np.zeros(8000), 97656.0, "baseline")], signals_path)
+    out_path = tmp_path / "f.csv"
+    assert main(["features", "--in", str(signals_path), "--out", str(out_path),
+                 "--target-rate", "1e-308"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {signals_path}: block 1: "), err
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [

@@ -59,6 +59,12 @@ def test_downsample_rejects_non_integer_ratio():
         downsample(signal, 20000.0)
     with pytest.raises(ValueError, match="positive"):
         downsample(signal, 0.0)
+    # A ratio that overflows to inf cannot round; it is refused all the same.
+    fast = make_signal(np.arange(100.0), rate=97656.0)
+    with pytest.raises(ValueError, match=re.escape(
+        "sample rate 97656.0 is not an integer multiple of target rate 1e-308 (ratio inf)"
+    )):
+        downsample(fast, 1e-308)
 
 
 def test_downsample_large_factor():
@@ -245,6 +251,20 @@ def make_dataset(per_class=100, seed=0) -> Dataset:
     features = rng.normal(size=(3 * per_class, 5))
     labels = np.repeat(np.arange(3), per_class)
     return Dataset(features, labels)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1.7, 0.2, 2.9], "labels must be integers, got dtype float64"),
+        ([0, 1, 3], "label 3 out of range for 3 classes"),
+        ([0, -1, 2], "label -1 out of range for 3 classes"),
+    ],
+    ids=["float", "too-large", "negative"],
+)
+def test_dataset_refuses_labels_outside_the_label_set(labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Dataset(np.zeros((3, 5)), labels)
 
 
 def test_split_is_stratified_eighty_twenty():

@@ -1,10 +1,12 @@
-"""Seeded mutation test of the failure contract at the input boundary.
+"""Seeded fuzz of the failure contract at the input and flag boundaries.
 
-Each case damages one valid input (a checkpoint, a feature CSV or a signal
-CSV) with one seeded mutation and runs the commands that read it.  Exit 1
-must come with exactly one stderr line, `error: <that file>: ...`; exit 0
-must come with finite output.  Warnings are errors here, so a numpy
-warning cannot slip out as an extra stderr line.
+Each input case damages one valid input (a checkpoint, a feature CSV or a
+signal CSV) with one seeded mutation and runs the commands that read it.
+Each flag case gives one numeric flag of a tiny valid command one odd value.
+Exit 1 must come with exactly one stderr line, `error: ...` (naming the
+damaged file, for an input case) and no output left behind; exit 0 must come
+with finite output.  Warnings are errors here, so a numpy warning cannot
+slip out as an extra stderr line.
 """
 
 import contextlib
@@ -22,6 +24,7 @@ from qdiag.data import (
     RawSignal,
     fit_normalizer,
     load_features_csv,
+    load_signals_csv,
     save_features_csv,
     save_signals_csv,
 )
@@ -40,7 +43,10 @@ JSON_VALUES = [float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 5e-324,
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # how argparse ends a flag error
+            rc = e.code
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -174,6 +180,8 @@ def write_inputs(tmp_path):
 
 
 def finite_output(argv, out_path, out):
+    if argv[0] == "synth":
+        return all(np.all(np.isfinite(s.samples)) for s in load_signals_csv(out_path))
     if argv[0] == "features":
         return bool(np.all(np.isfinite(load_features_csv(out_path).features)))
     if argv[0] == "train":
@@ -238,4 +246,78 @@ def run_cases(tmp_path, target, seed):
 @pytest.mark.parametrize("seed, target", enumerate(["model.json", "features.csv", "signals.csv"]))
 def test_mutated_input_fails_cleanly_or_gives_finite_output(tmp_path, seed, target):
     problems = run_cases(tmp_path, target, seed)
+    assert not problems, "\n".join(problems)
+
+
+# --- odd values for every numeric flag ---------------------------------------------
+
+BIG_INT = "12345678901234567890"
+FLAG_VALUES = ["", "abc", "0", "-1", "nan", "inf", "-inf", "1e308", "1e-308", BIG_INT]
+NUMERIC_FLAGS = {
+    "synth": ["--seed", "--per-class", "--duration", "--rate", "--noise"],
+    "features": ["--target-rate", "--length", "--overlap"],
+    "train": ["--seed", "--lr", "--epochs", "--batch", "--runs", "--train-frac"],
+    "gradcheck": ["--seed"],
+}
+# Valid values that would only cost time or memory, so they are not run: that
+# many records, a finite but huge duration x rate at the base command's 0.1 s
+# and 2 kHz, or that many training runs.
+SKIPPED_FLAG_VALUES = {
+    ("synth", "--per-class", BIG_INT),
+    ("synth", "--duration", BIG_INT),
+    ("synth", "--rate", BIG_INT),
+    ("synth", "--rate", "1e308"),
+    ("train", "--runs", BIG_INT),
+}
+
+
+def base_flags(paths, out_path):
+    """A tiny valid command per subcommand, as flag -> value."""
+    return {
+        "synth": {"--out": out_path, "--seed": "0", "--per-class": "1",
+                  "--duration": "0.1", "--rate": "2000", "--noise": "0.1"},
+        "features": {"--in": paths["signals.csv"], "--out": out_path,
+                     "--target-rate": "1000", "--length": "16", "--overlap": "4"},
+        "train": {"--in": paths["features.csv"], "--out": out_path, "--seed": "0",
+                  "--lr": "0.01", "--epochs": "1", "--batch": "4", "--runs": "1",
+                  "--train-frac": "0.8"},
+        "gradcheck": {"--seed": "0"},
+    }
+
+
+def flag_breach(argv, out_path):
+    """What is wrong with running `argv`, or None."""
+    try:
+        rc, out, err = run_cli(argv)
+        lines = err.splitlines()
+        if rc == 1:
+            if len(lines) != 1 or not lines[0].startswith("error: "):
+                return f"rc 1 with stderr {lines}"
+            return f"rc 1 but {out_path} was left behind" if out_path.exists() else None
+        if rc != 0 or not all(line.startswith("warning:") for line in lines):
+            return f"rc {rc} with stderr {lines}"
+        return None if finite_output(argv, out_path, out) else "non-finite output"
+    except Exception as e:  # a traceback from main is a breach too
+        return repr(e)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", list(NUMERIC_FLAGS))
+def test_odd_flag_values_fail_cleanly_or_give_finite_output(tmp_path, command):
+    paths = write_inputs(tmp_path)
+    out_path = tmp_path / f"out-{command}"
+    base = base_flags(paths, out_path)[command]
+    problems = []
+    for flag in NUMERIC_FLAGS[command]:
+        for value in FLAG_VALUES:
+            if (command, flag, value) in SKIPPED_FLAG_VALUES:
+                continue
+            # `--flag=value`, so that argparse reads "-inf" as a value, not a flag.
+            argv = [command] + [f"{k}={value}" if k == flag else f"{k}={v}"
+                                for k, v in base.items()]
+            shutil.rmtree(out_path, ignore_errors=True)
+            out_path.unlink(missing_ok=True)
+            problem = flag_breach(argv, out_path)
+            if problem:
+                problems.append(f"{command} {flag}={value!r}: {problem}")
     assert not problems, "\n".join(problems)

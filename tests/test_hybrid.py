@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qdiag.data import Dataset, NormalizerParams, fit_normalizer, split
+from qdiag.data import Dataset, NormalizerParams, apply_normalizer, fit_normalizer, split
 from qdiag.hybrid import (
     HybridModel,
     TrainConfig,
@@ -21,13 +21,12 @@ from qdiag.hybrid import (
     model_parameters,
     multi_seed_report,
     new_hybrid_model,
-    quantum_features,
     save_checkpoint,
     train_run,
     with_parameters,
 )
 from qdiag.nn import adam_init, adam_step, cross_entropy, init_mlp
-from qdiag.pqc import PqcParams, RZ_ANGLE
+from qdiag.pqc import PqcParams, RZ_ANGLE, pqc_expectations_batch
 
 IDENTITY_NORM = NormalizerParams(np.zeros(5), np.ones(5))
 
@@ -74,9 +73,13 @@ def test_quantum_features_with_neutral_angles():
         PqcParams(5, np.zeros((5, 3))),
         new_hybrid_model(IDENTITY_NORM, seed=0).mlp,
     )
+    norm, pqc = model.normalizer, model.pqc
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    assert np.allclose(quantum_features(model, x)[0], np.cos(np.pi * x), atol=1e-12)
-    clamped = quantum_features(model, np.array([-3.0, 9.0, 0.5, 0.5, 0.5]))
+    assert np.allclose(pqc_expectations_batch(apply_normalizer(norm, x), pqc)[0],
+                       np.cos(np.pi * x), atol=1e-12)
+    clamped = pqc_expectations_batch(
+        apply_normalizer(norm, np.array([-3.0, 9.0, 0.5, 0.5, 0.5])), pqc
+    )
     assert np.allclose(clamped[0, :2], [1.0, -1.0], atol=1e-12)
 
 
@@ -205,6 +208,20 @@ def test_evaluate_refuses_labels_outside_the_label_set(bad):
     labels = np.array([0, 1, bad, 2])
     with pytest.raises(ValueError, match=rf"^label {bad} out of range for 3 classes$"):
         evaluate(model, np.full((4, 5), 0.5), labels)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        (np.array([0, 1]), r"^expected 3 labels, got shape \(2,\)$"),
+        (np.array([0.0, 1.0, 2.0]), r"^labels must be integers, got dtype float64$"),
+    ],
+    ids=["count", "float"],
+)
+def test_evaluate_refuses_labels_that_do_not_fit_the_rows(labels, message):
+    model = new_hybrid_model(IDENTITY_NORM, seed=21)
+    with pytest.raises(ValueError, match=message):
+        evaluate(model, np.full((3, 5), 0.5), labels)
 
 
 def test_confusion_row_percent():
@@ -403,6 +420,15 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(
         hybrid_forward_batch(model, batch), hybrid_forward_batch(loaded, batch)
     )
+
+
+def test_checkpoint_that_cannot_be_written_leaves_no_file(tmp_path):
+    model = new_hybrid_model(IDENTITY_NORM, seed=0)
+    model.mlp.layers[0].weights[0, 0] = np.nan
+    path = tmp_path / "model.json"
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        save_checkpoint(model, path)
+    assert not path.exists()
 
 
 def test_checkpoint_parse_errors_carry_positions(tmp_path):

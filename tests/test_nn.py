@@ -90,6 +90,11 @@ def test_cross_entropy_values():
     assert np.isclose(cross_entropy(np.array([1 / 3, 1 / 3, 1 / 3]), 0), np.log(3.0))
     assert cross_entropy(np.array([1.0, 0.0, 0.0]), 0) == 0.0
     assert np.isclose(cross_entropy(np.array([0.25, 0.5, 0.25]), 0), np.log(4.0))
+    # A batch takes the mean of its rows' values.
+    probs = softmax(np.random.default_rng(3).normal(size=(7, 3)))
+    labels = np.array([0, 2, 1, 1, 0, 2, 2])
+    per_row = [cross_entropy(p, y) for p, y in zip(probs, labels)]
+    assert np.isclose(cross_entropy(probs, labels), np.mean(per_row), rtol=1e-15, atol=0)
 
 
 def test_cross_entropy_floor_caps_the_loss():
@@ -243,6 +248,8 @@ def test_backward_label_validation():
         mlp_backward_batch(model, cache, np.array([0]))
     with pytest.raises(ValueError, match="range"):
         mlp_backward_batch(model, cache, np.array([0, 3]))
+    with pytest.raises(ValueError, match="^labels must be integers, got dtype float64$"):
+        mlp_backward_batch(model, cache, np.array([0.0, 1.0]))
 
 
 def test_gradients_match_finite_differences():
