@@ -42,6 +42,7 @@ from .pqc import PqcParams, pqc_expectations_batch, pqc_jacobian_batch, random_p
 
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN_UNITS = 10
+MAX_EPOCHS = np.iinfo(np.intp).max // 8 - 1  # so numpy can shape epochs + 1 float64s
 
 
 @dataclass
@@ -88,6 +89,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "num_runs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.epochs > MAX_EPOCHS:
+            raise ValueError(f"epochs must be at most {MAX_EPOCHS}, got {self.epochs}")
 
 
 @dataclass
@@ -295,7 +298,7 @@ def train_run(
                 grads, _ = _gradients(model, normed[pick], train_y[pick])
                 grad = np.concatenate([g.ravel() for g in grads])
                 updated, opt_state = adam_step(theta, grad, opt_state)
-                if not np.all(np.isfinite(updated)):
+                if not np.isfinite(updated).all():
                     raise _diverged(epoch, config)
                 theta[:] = updated
             epoch_eval = _score(model, normed, train_y)

@@ -43,7 +43,7 @@ class DenseLayer:
                 f"biases shape {self.biases.shape} does not match "
                 f"{self.weights.shape[0]} output rows"
             )
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.biases))):
+        if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
             raise ValueError("layer parameters must be finite")
 
     @property
@@ -165,7 +165,7 @@ def mlp_forward_batch(model: MlpModel, batch) -> tuple[np.ndarray, ForwardCache]
             f"input width {batch.shape[1]} does not match model input "
             f"dim {model.input_dim}"
         )
-    if not np.all(np.isfinite(batch)):
+    if not np.isfinite(batch).all():
         raise ValueError("network input contains non-finite values")
     inputs, pre_acts = [], []
     a = batch
@@ -188,10 +188,10 @@ def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradi
     probs = cache.probs
     n, classes = probs.shape
     labels = _check_labels(labels, n, classes)
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
-    # Fused softmax + cross-entropy gradient, averaged over the batch.
-    delta = (probs - onehot) / n
+    # Fused softmax + cross-entropy gradient p - onehot, averaged over the batch.
+    delta = probs.copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
     weight_grads: list[np.ndarray] = [None] * len(model.layers)  # type: ignore[list-item]
     bias_grads: list[np.ndarray] = [None] * len(model.layers)  # type: ignore[list-item]
     for i in reversed(range(len(model.layers))):

@@ -62,7 +62,7 @@ class PqcParams:
                 f"expected angle table of shape ({self.num_qubits}, 3), "
                 f"got {angles.shape}"
             )
-        if not np.all(np.isfinite(angles)):
+        if not np.isfinite(angles).all():
             raise ValueError("angles must be finite")
         self.angles = angles
 
@@ -144,11 +144,9 @@ def pqc_gradient_finite_difference(
 def _check_batch(batch, params: PqcParams) -> np.ndarray:
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[1] != params.num_qubits:
-        raise ValueError(
-            f"batch has shape {batch.shape}, expected (*, {params.num_qubits})"
-        )
-    # One range test; NaN compares false and +-inf falls outside, so both fail it.
-    if not np.all((batch >= 0.0) & (batch <= 1.0)):
+        raise ValueError(f"batch has shape {batch.shape}, expected (*, {params.num_qubits})")
+    # NaN carries through min and max and fails the test; +-inf falls outside.
+    if batch.size and not (batch.min() >= 0.0 and batch.max() <= 1.0):
         raise ValueError("batch values must lie in [0, 1]")
     return batch
 
@@ -171,18 +169,17 @@ def pqc_jacobian_batch(batch, params: PqcParams) -> np.ndarray:
     Returns shape (batch, n, 3).  Because expectation i depends only on
     row i of the angle table, shifting one column across every row at once
     yields all diagonal entries for that column in a single batched pass of
-    the parameter-shift rule: six passes in all, each of which validates
-    the batch.
+    the parameter-shift rule.  One working angle table takes each shifted
+    column in turn: six validated readout passes in all.
     """
-    columns = []
+    work = params.copy()  # checked once: a finite angle +- pi/2 stays finite
+    jac = None
     for k in range(3):
-        shift = np.zeros((params.num_qubits, 3))
-        shift[:, k] = PARAM_SHIFT
-        plus = pqc_expectations_batch(
-            batch, PqcParams(params.num_qubits, params.angles + shift)
-        )
-        minus = pqc_expectations_batch(
-            batch, PqcParams(params.num_qubits, params.angles - shift)
-        )
-        columns.append((plus - minus) / 2.0)
-    return np.stack(columns, axis=-1)
+        work.angles[:, k] = params.angles[:, k] + PARAM_SHIFT
+        plus = pqc_expectations_batch(batch, work)
+        if jac is None:  # allocated once the first pass has checked the batch
+            jac = np.empty(plus.shape + (3,))
+        work.angles[:, k] = params.angles[:, k] - PARAM_SHIFT
+        np.subtract(plus, pqc_expectations_batch(batch, work), out=jac[:, :, k])
+        work.angles[:, k] = params.angles[:, k]
+    return np.divide(jac, 2.0, out=jac)

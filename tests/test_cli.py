@@ -17,7 +17,7 @@ from qdiag.data import (
     save_features_csv,
     save_signals_csv,
 )
-from qdiag.hybrid import HybridModel, save_checkpoint
+from qdiag.hybrid import MAX_EPOCHS, HybridModel, save_checkpoint
 from qdiag.nn import DenseLayer, MlpModel
 from qdiag.pqc import PqcParams
 
@@ -376,6 +376,21 @@ def test_train_data_errors_name_the_file(tmp_path, capsys, defect, message):
             "--runs", "1", "--epochs", "1"]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {features_path}: {message}"]
+
+
+@pytest.mark.parametrize("epochs", ["12345678901234567890", str(MAX_EPOCHS + 1)])
+def test_train_epochs_numpy_cannot_shape_is_a_flag_error(tmp_path, capsys, monkeypatch, epochs):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    opened = []
+    monkeypatch.setattr(qdiag.data, "open_input", opened.append)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--runs", "1", "--epochs", epochs]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "epochs" in err[0], err
+    assert not err[0].startswith(f"error: {features_path}")
+    assert opened == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("frac", ["0", "1.5", "nan"])

@@ -9,6 +9,7 @@ import pytest
 
 from qdiag.data import Dataset, NormalizerParams, apply_normalizer, fit_normalizer, split
 from qdiag.hybrid import (
+    MAX_EPOCHS,
     HybridModel,
     TrainConfig,
     TrainingDiverged,
@@ -351,10 +352,15 @@ def test_train_config_validation():
         dict(learning_rate=0.0),
         dict(learning_rate=float("inf")),
         dict(epochs=0),
+        dict(epochs=MAX_EPOCHS + 1),
         dict(batch_size=0),
     ):
         with pytest.raises(ValueError):
             quick_config(**bad)
+    assert quick_config(epochs=MAX_EPOCHS).epochs == MAX_EPOCHS
+    # One epoch more and numpy refuses the epochs + 1 curve entries outright.
+    with pytest.raises(ValueError):
+        np.empty(MAX_EPOCHS + 2)
 
 
 def test_train_config_is_frozen():

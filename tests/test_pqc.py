@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qdiag.pqc import (
+    PARAM_SHIFT,
     RX_ANGLE,
     RY_ANGLE,
     RZ_ANGLE,
@@ -228,3 +229,46 @@ def test_batch_paths_refuse_non_finite_values(fn, bad):
     batch[2, 1] = bad
     with pytest.raises(ValueError, match="lie in"):
         fn(batch, params)
+
+
+def fresh_table_jacobian(batch, params: PqcParams) -> np.ndarray:
+    """The batched shift rule with a freshly built angle table per pass."""
+    columns = []
+    for k in range(3):
+        shift = np.zeros((params.num_qubits, 3))
+        shift[:, k] = PARAM_SHIFT
+        plus = pqc_expectations_batch(batch, PqcParams(params.num_qubits, params.angles + shift))
+        minus = pqc_expectations_batch(batch, PqcParams(params.num_qubits, params.angles - shift))
+        columns.append((plus - minus) / 2.0)
+    return np.stack(columns, axis=-1)
+
+
+def test_batch_jacobian_leaves_its_input_and_matches_fresh_tables():
+    rng = np.random.default_rng(97)
+    for trial in range(60):
+        n = int(rng.integers(1, 6))
+        params = random_pqc_params(n, rng)
+        rows = (0, 1, int(rng.integers(2, 40)))[trial % 3]
+        batch = rng.uniform(0.0, 1.0, size=(rows, n))
+        if trial % 2:  # signed zeros in the table, exact zeros in the batch
+            params.angles[rng.random((n, 3)) < 0.4] = -0.0
+            batch[rng.random((rows, n)) < 0.3] = 0.0
+        before = params.angles.tobytes()
+        jac = pqc_jacobian_batch(batch, params)
+        assert params.angles.tobytes() == before
+        assert not np.shares_memory(jac, params.angles) and not np.shares_memory(jac, batch)
+        assert jac.shape == (rows, n, 3)
+        assert np.array_equal(jac, fresh_table_jacobian(batch, params))
+
+
+@pytest.mark.parametrize("fn, tail", [(pqc_expectations_batch, ()), (pqc_jacobian_batch, (3,))])
+def test_batch_range_check_edges(fn, tail):
+    params = random_pqc_params(4, np.random.default_rng(101))
+    edges = np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.5, 0.25]])
+    assert fn(edges, params).shape == (2, 4) + tail
+    assert fn(np.empty((0, 4)), params).shape == (0, 4) + tail
+    for bad in (np.nextafter(1.0, 2.0), -5e-324):
+        batch = edges.copy()
+        batch[1, 2] = bad
+        with pytest.raises(ValueError, match="lie in"):
+            fn(batch, params)
