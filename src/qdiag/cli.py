@@ -203,9 +203,8 @@ def _cmd_predict(args) -> int:
     probs = hybrid_forward_batch(model, dataset.features)
     predicted = np.argmax(probs, axis=1)
     lines = ["predicted," + ",".join(f"p_{name}" for name in LABELS) + ",label"]
-    for row, pick, label in zip(probs, predicted, dataset.labels):
-        cells = [LABELS[pick]] + [repr(float(p)) for p in row] + [LABELS[label]]
-        lines.append(",".join(cells))
+    for row, pick, label in zip(probs.tolist(), predicted, dataset.labels):
+        lines.append(",".join([LABELS[pick], *map(repr, row), LABELS[label]]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -269,7 +269,7 @@ def fit_normalizer(features: np.ndarray) -> NormalizerParams:
 
 
 def apply_normalizer(params: NormalizerParams, features: np.ndarray) -> np.ndarray:
-    """Min-max scale into [0, 1], clamping values outside the fit range.
+    """Clamp to the fit range, then min-max scale: monotone rounding keeps [0, 1].
 
     The one check of raw feature rows: finite, and as wide as the fit.  A
     degenerate feature (max == min during fit) maps to 0.5 everywhere.
@@ -278,14 +278,13 @@ def apply_normalizer(params: NormalizerParams, features: np.ndarray) -> np.ndarr
     if rows.ndim != 2 or rows.shape[1] != params.num_features:
         raise ValueError(f"expected {params.num_features} features per row, "
                          f"got shape {np.shape(features)}")
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValueError("features contain non-finite values")
     span = params.maximum - params.minimum
-    safe_span = np.where(span > 0.0, span, 1.0)
-    with np.errstate(over="ignore"):  # far-out values overflow to +-inf, then clamp
-        scaled = (rows - params.minimum) / safe_span
-    scaled = np.clip(scaled, 0.0, 1.0)
-    return np.where(span > 0.0, scaled, 0.5)
+    scaled = np.maximum(rows, params.minimum)
+    np.minimum(scaled, params.maximum, out=scaled)
+    scaled -= params.minimum
+    return np.divide(scaled, span, out=np.full_like(scaled, 0.5), where=span > 0.0)
 
 
 def split(dataset: Dataset, train_fraction: float = 0.8, seed: int = 0) -> Dataset:

@@ -31,6 +31,7 @@ from .data import (
 from .nn import (
     DenseLayer,
     MlpModel,
+    _forward,
     adam_init,
     adam_step,
     cross_entropy,
@@ -38,7 +39,7 @@ from .nn import (
     mlp_backward_batch,
     mlp_forward_batch,
 )
-from .pqc import PqcParams, pqc_expectations_batch, pqc_jacobian_batch, random_pqc_params
+from .pqc import PqcParams, _readout, pqc_expectations_batch, pqc_jacobian_batch, random_pqc_params
 
 CHECKPOINT_VERSION = 1
 DEFAULT_HIDDEN_UNITS = 10
@@ -154,8 +155,10 @@ def new_hybrid_model(
 
 def _forward_normed(model: HybridModel, normed: np.ndarray) -> np.ndarray:
     """Class probabilities for rows that `apply_normalizer` checked and scaled."""
-    probs, _ = mlp_forward_batch(model.mlp, pqc_expectations_batch(normed, model.pqc))
-    return probs
+    readout = _readout(normed, model.pqc.angles)
+    if not np.isfinite(readout).all():  # angles can be overwritten in place
+        raise ValueError("network input contains non-finite values")
+    return _forward(model.mlp, readout).probs
 
 
 def hybrid_forward_batch(model: HybridModel, features) -> np.ndarray:
@@ -163,11 +166,12 @@ def hybrid_forward_batch(model: HybridModel, features) -> np.ndarray:
 
 
 def hybrid_forward(model: HybridModel, features) -> np.ndarray:
-    """Class probabilities for a single raw feature vector."""
+    """Class probabilities for one raw feature vector, bit-equal to its batch row."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise ValueError("hybrid_forward takes one sample; use hybrid_forward_batch")
-    return hybrid_forward_batch(model, features[None, :])[0]
+    normed = apply_normalizer(model.normalizer, features[None, :])
+    return _forward_normed(model, normed[[0, 0]])[0]  # 2 rows: BLAS sums as for a batch
 
 
 def model_parameters(model: HybridModel) -> list[np.ndarray]:

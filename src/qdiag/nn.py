@@ -82,7 +82,7 @@ class MlpModel:
 def elu(x: np.ndarray) -> np.ndarray:
     """ELU with alpha = 1; expm1 keeps the negative branch accurate near 0."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    return np.maximum(x, np.expm1(np.minimum(x, 0.0)))  # expm1(x) > x for x < 0
 
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
@@ -94,9 +94,8 @@ def elu_grad(x: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, shifted by the row max for stability."""
     logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
 def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
@@ -167,15 +166,19 @@ def mlp_forward_batch(model: MlpModel, batch) -> tuple[np.ndarray, ForwardCache]
         )
     if not np.isfinite(batch).all():
         raise ValueError("network input contains non-finite values")
+    cache = _forward(model, batch)
+    return cache.probs, cache
+
+
+def _forward(model: MlpModel, a: np.ndarray) -> ForwardCache:
+    """The one layer loop, on a batch `a` that is already checked."""
     inputs, pre_acts = [], []
-    a = batch
     for i, layer in enumerate(model.layers):
         inputs.append(a)
         z = a @ layer.weights.T + layer.biases
         pre_acts.append(z)
         a = z if i == len(model.layers) - 1 else elu(z)
-    probs = softmax(a)
-    return probs, ForwardCache(inputs, pre_acts, probs)
+    return ForwardCache(inputs, pre_acts, softmax(a))
 
 
 def mlp_backward_batch(model: MlpModel, cache: ForwardCache, labels) -> MlpGradients:

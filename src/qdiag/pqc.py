@@ -151,16 +151,21 @@ def _check_batch(batch, params: PqcParams) -> np.ndarray:
     return batch
 
 
+def _readout(normed: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """cos(rx) * cos(pi x + ry) on checked rows, in place on one fresh array."""
+    out = np.multiply(normed, np.pi)
+    out += angles[:, RY_ANGLE]
+    return np.multiply(np.cos(out, out=out), np.cos(angles[:, RX_ANGLE]), out=out)
+
+
 def pqc_expectations_batch(batch, params: PqcParams) -> np.ndarray:
     """<Z> readout for a whole batch at once, shape (batch, n).
 
-    Evaluates the closed form cos(rx) * cos(pi x + ry) of the circuit that
-    pqc_forward simulates gate by gate.  Training uses this path; tests pin
-    it against the simulator.
+    Checks the batch, then evaluates the closed form cos(rx) * cos(pi x + ry)
+    of the circuit that pqc_forward simulates gate by gate.  Training uses
+    this path; scoring calls `_readout` on rows `apply_normalizer` checked.
     """
-    batch = _check_batch(batch, params)
-    angles = params.angles
-    return np.cos(angles[:, RX_ANGLE]) * np.cos(np.pi * batch + angles[:, RY_ANGLE])
+    return _readout(_check_batch(batch, params), params.angles)
 
 
 def pqc_jacobian_batch(batch, params: PqcParams) -> np.ndarray:

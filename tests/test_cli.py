@@ -393,6 +393,20 @@ def test_train_epochs_numpy_cannot_shape_is_a_flag_error(tmp_path, capsys, monke
     assert opened == [] and not (tmp_path / "out").exists()
 
 
+def test_train_epochs_too_many_to_allocate_is_one_error_line(tmp_path, capsys):
+    # Within MAX_EPOCHS, but the curves ask malloc for 711 PiB at once: it
+    # refuses at once and nothing is committed.  No other MemoryError case
+    # is tried, so that the test stays cheap on any machine.
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--runs", "1", "--epochs", "100000000000000000"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate"), err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("frac", ["0", "1.5", "nan"])
 def test_train_bad_fraction_is_a_flag_error(tmp_path, capsys, frac):
     features_path = tmp_path / "features.csv"

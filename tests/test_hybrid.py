@@ -26,8 +26,8 @@ from qdiag.hybrid import (
     train_run,
     with_parameters,
 )
-from qdiag.nn import adam_init, adam_step, cross_entropy, init_mlp
-from qdiag.pqc import PqcParams, RZ_ANGLE, pqc_expectations_batch
+from qdiag.nn import adam_init, adam_step, cross_entropy, init_mlp, mlp_forward_batch
+from qdiag.pqc import RX_ANGLE, RY_ANGLE, RZ_ANGLE, PqcParams, pqc_expectations_batch
 
 IDENTITY_NORM = NormalizerParams(np.zeros(5), np.ones(5))
 
@@ -89,7 +89,8 @@ def test_forward_single_sample_matches_batch():
     rng = np.random.default_rng(4)
     batch = rng.uniform(size=(6, 5))
     probs = hybrid_forward_batch(model, batch)
-    assert np.allclose(hybrid_forward(model, batch[2]), probs[2], atol=1e-14)
+    for row, batch_row in zip(batch, probs):
+        assert np.array_equal(hybrid_forward(model, row), batch_row)
     with pytest.raises(ValueError, match="one sample"):
         hybrid_forward(model, batch)
 
@@ -100,6 +101,103 @@ def test_forward_input_validation():
         hybrid_forward_batch(model, np.zeros((2, 4)))
     with pytest.raises(ValueError, match="non-finite"):
         hybrid_forward_batch(model, np.full((1, 5), np.nan))
+
+
+# The scoring path's formulas as they were before the clamp-first normalizer
+# and the in-place kernels: the oracle the scoring path must reproduce.
+def oracle_normalize(params: NormalizerParams, rows: np.ndarray) -> np.ndarray:
+    span = params.maximum - params.minimum
+    safe_span = np.where(span > 0.0, span, 1.0)
+    with np.errstate(over="ignore"):
+        scaled = (rows - params.minimum) / safe_span
+    return np.where(span > 0.0, np.clip(scaled, 0.0, 1.0), 0.5)
+
+
+def oracle_readout(model: HybridModel, normed: np.ndarray) -> np.ndarray:
+    angles = model.pqc.angles
+    return np.cos(angles[:, RX_ANGLE]) * np.cos(np.pi * normed + angles[:, RY_ANGLE])
+
+
+def oracle_probs(model: HybridModel, normed: np.ndarray) -> np.ndarray:
+    readout = oracle_readout(model, normed)
+    a = readout
+    for i, layer in enumerate(model.mlp.layers):
+        z = a @ layer.weights.T + layer.biases
+        a = z if i == len(model.mlp.layers) - 1 else np.where(z >= 0, z, np.expm1(np.minimum(z, 0)))
+    e = np.exp(a - a.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    assert np.array_equal(mlp_forward_batch(model.mlp, readout)[0], probs)
+    return probs
+
+
+def scoring_cases(seed: int):
+    """A seeded model whose fit has degenerate columns, and rows that probe
+    the clamp: inside, exactly at both bounds, far outside, +-1e308, -0.0."""
+    rng = np.random.default_rng(seed)
+    fit = rng.normal(size=(8, 5)) * 10.0 ** rng.uniform(-3, 3, size=5)
+    fit[:, rng.choice(5, size=seed % 3, replace=False)] = rng.normal()
+    params = fit_normalizer(fit)
+    model = new_hybrid_model(params, seed=seed)
+    lo, hi = params.minimum, params.maximum
+    rows = np.concatenate([
+        lo + (hi - lo) * rng.uniform(-0.5, 1.5, size=(20, 5)),
+        [lo, hi, -lo, np.full(5, 1e308), np.full(5, -1e308), np.zeros(5), np.full(5, -0.0)],
+        np.where(rng.uniform(size=(6, 5)) < 0.5, 1e308, -1e308),
+        np.where(rng.uniform(size=(6, 5)) < 0.5, lo, hi),
+    ])
+    return model, rows
+
+
+@pytest.mark.filterwarnings("error")  # no overflow, not even an ignored one, may warn
+@pytest.mark.parametrize("seed", range(12))
+def test_scoring_path_reproduces_the_oracle_formulas(seed):
+    model, rows = scoring_cases(seed)
+    with np.errstate(all="ignore"):
+        normed = oracle_normalize(model.normalizer, rows)
+        want = oracle_probs(model, normed)
+    got_normed = apply_normalizer(model.normalizer, rows)
+    assert np.array_equal(got_normed, normed)  # equal up to the sign of a zero
+    assert got_normed.min() >= 0.0 and got_normed.max() <= 1.0
+    readout = pqc_expectations_batch(got_normed, model.pqc)
+    assert readout.tobytes() == oracle_readout(model, normed).tobytes()
+    probs = hybrid_forward_batch(model, rows)
+    assert probs.tobytes() == want.tobytes()
+    for row, want_row in zip(rows, want):
+        assert hybrid_forward(model, row).tobytes() == want_row.tobytes()
+    labels = np.arange(len(rows)) % 3
+    result = evaluate(model, rows, labels)
+    assert result.loss == cross_entropy(want, labels)
+    assert result.accuracy == np.mean(np.argmax(want, axis=1) == labels)
+    empty = hybrid_forward_batch(model, np.empty((0, 5)))
+    assert empty.shape == (0, 3)
+
+
+def _angles_overwritten_with_nan(model):
+    model.pqc.angles[2, RX_ANGLE] = np.nan
+    return np.ones((2, 5))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda m: np.full((2, 5), np.nan), "features contain non-finite values"),
+    (lambda m: np.array([[0.0] * 4 + [np.inf]]), "features contain non-finite values"),
+    (lambda m: np.array([[-np.inf] + [0.0] * 4]), "features contain non-finite values"),
+    (lambda m: np.zeros((3, 4)), "expected 5 features per row, got shape (3, 4)"),
+    (lambda m: np.zeros((2, 3, 5)), "expected 5 features per row, got shape (2, 3, 5)"),
+    (_angles_overwritten_with_nan, "network input contains non-finite values"),
+], ids=["nan", "inf", "-inf", "width", "3-d", "nan-angle"])
+def test_scoring_refusals_keep_their_messages(make, message):
+    model, _ = scoring_cases(0)
+    rows = make(model)
+    calls = [lambda: hybrid_forward_batch(model, rows),
+             lambda: evaluate(model, rows, np.zeros(len(rows), dtype=np.int64))]
+    if rows.ndim == 2:
+        single = message.replace(f"shape {rows.shape}", f"shape (1, {rows.shape[1]})")
+        calls.append((lambda: hybrid_forward(model, rows[0]), single))
+    for call in calls:
+        call, want = call if isinstance(call, tuple) else (call, message)
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
 
 
 def test_model_dimension_chaining():

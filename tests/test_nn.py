@@ -44,6 +44,19 @@ def test_elu_values():
     assert np.allclose(elu(x), expected, atol=1e-15)
 
 
+def test_elu_and_softmax_equal_their_select_and_divide_forms():
+    # The forms elu and softmax had before they worked in place: elu must
+    # equal them up to the sign of a zero, softmax bit for bit.
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(400, 10)) * 10.0 ** rng.uniform(-320, 3, size=(400, 10))
+    x[:5] = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300, -745.0, -1e308, 1e308, 0.5]
+    assert np.array_equal(elu(x), np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0))))
+    assert elu(-0.5) == np.expm1(-0.5) and elu(2.0) == 2.0
+    for logits in (x[:, :3] / 1e300, rng.normal(scale=30.0, size=(50, 3)), np.zeros(3)):
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        assert softmax(logits).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+
+
 def test_elu_is_continuous_at_zero():
     eps = 1e-9
     assert abs(elu(eps) - elu(-eps)) < 1e-8
