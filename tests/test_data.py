@@ -204,6 +204,11 @@ def test_normalizer_degenerate_feature_maps_to_half():
     out = apply_normalizer(params, np.array([[3.0, 1.5], [99.0, 1.0]]))
     assert np.allclose(out[:, 0], 0.5)
     assert np.allclose(out[:, 1], [0.5, 0.0])
+    # A bound overwritten with NaN in place leaves no positive span: 0.5 too.
+    params.minimum[1] = np.nan
+    with np.errstate(all="raise"):
+        out = apply_normalizer(params, np.array([[3.0, 1.5], [99.0, 1.0]]))
+    assert np.array_equal(out, np.full((2, 2), 0.5))
 
 
 @pytest.mark.filterwarnings("error")  # overflow must neither warn nor leak out

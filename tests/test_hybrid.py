@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from qdiag.data import Dataset, NormalizerParams, apply_normalizer, fit_normalizer, split
 from qdiag.hybrid import (
     MAX_EPOCHS,
+    SCORE_ROWS,
     HybridModel,
     TrainConfig,
     TrainingDiverged,
@@ -198,6 +200,63 @@ def test_scoring_refusals_keep_their_messages(make, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == want
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 1, SCORE_ROWS - 1, SCORE_ROWS, SCORE_ROWS + 1,
+                               2 * SCORE_ROWS + 3])
+def test_scoring_blocks_reproduce_the_oracle_at_their_edges(n):
+    model, probe = scoring_cases(n % 12)
+    lo, hi = model.normalizer.minimum, model.normalizer.maximum
+    rng = np.random.default_rng(n)
+    rows = np.concatenate([probe, lo + (hi - lo) * rng.uniform(-0.5, 1.5, size=(n, 5))])[:n]
+    with np.errstate(all="ignore"):
+        want = oracle_probs(model, oracle_normalize(model.normalizer, rows))
+    assert hybrid_forward_batch(model, rows).tobytes() == want.tobytes()
+    labels = np.arange(n) % 3
+    if n == 0:
+        with pytest.raises(ValueError, match="^evaluate needs at least one row$"):
+            evaluate(model, rows, labels)
+    else:
+        result = evaluate(model, rows, labels)
+        assert result.loss == cross_entropy(want, labels)
+        assert result.accuracy == np.mean(np.argmax(want, axis=1) == labels)
+    if n > SCORE_ROWS:
+        model.pqc.angles[4, RX_ANGLE] = np.nan
+        for call in (lambda: hybrid_forward_batch(model, rows),
+                     lambda: evaluate(model, rows, labels)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == "network input contains non-finite values"
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_no_scoring_block_is_a_single_row(blocks):
+    # BLAS sums a one-row product (gemv) in another order than a batch
+    # (gemm), so a one-row last block could change that row's last bits.
+    model, _ = scoring_cases(blocks)
+    lo, hi = model.normalizer.minimum, model.normalizer.maximum
+    rng = np.random.default_rng(blocks)
+    rows = lo + (hi - lo) * rng.uniform(size=(blocks * SCORE_ROWS + 1, 5))
+    for tail in lo + (hi - lo) * rng.uniform(size=(30, 5)):
+        rows[-1] = tail
+        want = oracle_probs(model, oracle_normalize(model.normalizer, rows))
+        assert hybrid_forward_batch(model, rows).tobytes() == want.tobytes()
+
+
+def test_batch_scoring_memory_is_bounded_by_input_and_output():
+    model = new_hybrid_model(IDENTITY_NORM, seed=5)
+    rows = np.random.default_rng(6).uniform(size=(20 * SCORE_ROWS, 5))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        hybrid_forward_batch(model, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Normalizing holds two whole-batch arrays at once (2x), and the output
+    # (0.6x) is whole-batch too; every other temporary is one block's worth.
+    assert peak < 3 * rows.nbytes
 
 
 def test_model_dimension_chaining():

@@ -52,7 +52,11 @@ def test_elu_and_softmax_equal_their_select_and_divide_forms():
     x[:5] = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300, -745.0, -1e308, 1e308, 0.5]
     assert np.array_equal(elu(x), np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0))))
     assert elu(-0.5) == np.expm1(-0.5) and elu(2.0) == 2.0
-    for logits in (x[:, :3] / 1e300, rng.normal(scale=30.0, size=(50, 3)), np.zeros(3)):
+    cases = [x[:, :3] / 1e300, rng.normal(scale=30.0, size=(50, 3)), np.zeros(3),
+             rng.normal(size=4), np.empty((0, 3))]
+    cases += [rng.normal(scale=10.0 ** k, size=(rows, c))
+              for c in range(1, 7) for rows in (1, 7, 2000) for k in (-3, 0, 3)]
+    for logits in cases:
         e = np.exp(logits - logits.max(axis=-1, keepdims=True))
         assert softmax(logits).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
 
