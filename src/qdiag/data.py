@@ -280,10 +280,12 @@ def apply_normalizer(params: NormalizerParams, features: np.ndarray) -> np.ndarr
                          f"got shape {np.shape(features)}")
     if not np.isfinite(rows).all():
         raise ValueError("features contain non-finite values")
-    span = params.maximum - params.minimum
-    scaled = np.maximum(rows, params.minimum)
-    np.minimum(scaled, params.maximum, out=scaled)
-    scaled -= params.minimum
+    # (1, n) bounds meet a one-row input shape for shape, a cheaper numpy loop.
+    lo, hi = params.minimum[None, :], params.maximum[None, :]
+    span = hi - lo
+    scaled = np.maximum(rows, lo)
+    np.minimum(scaled, hi, out=scaled)
+    scaled -= lo
     return np.divide(scaled, span, out=np.full_like(scaled, 0.5), where=span > 0.0)
 
 

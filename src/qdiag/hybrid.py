@@ -156,20 +156,23 @@ def new_hybrid_model(
     return HybridModel(normalizer, pqc, mlp)
 
 
+def _score_block(model: HybridModel, normed: np.ndarray) -> np.ndarray:
+    """Class probabilities for one block of rows that `apply_normalizer`
+    checked and scaled.  A one-row block is scored as two equal rows: BLAS
+    sums a one-row product (gemv) in another order than a batch (gemm)."""
+    rows = normed if normed.shape[0] != 1 else np.concatenate((normed, normed))
+    readout = _readout(rows, model.pqc.angles)
+    if not np.isfinite(readout).all():  # angles can be overwritten in place
+        raise ValueError("network input contains non-finite values")
+    return _forward(model.mlp, readout).probs[: normed.shape[0]]
+
+
 def _forward_normed(model: HybridModel, normed: np.ndarray) -> np.ndarray:
-    """Class probabilities for rows that `apply_normalizer` checked and scaled,
-    scored SCORE_ROWS rows at a time into one output array.  A last block of
-    one row joins the block before it: BLAS sums a one-row product (gemv) in
-    another order than a batch (gemm)."""
+    """`_score_block` on SCORE_ROWS rows at a time, into one output array."""
     n = normed.shape[0]
     probs = np.empty((n, model.mlp.output_dim))
-    lo = 0
-    for hi in [*range(SCORE_ROWS, n - 1, SCORE_ROWS), n]:
-        readout = _readout(normed[lo:hi], model.pqc.angles)
-        if not np.isfinite(readout).all():  # angles can be overwritten in place
-            raise ValueError("network input contains non-finite values")
-        probs[lo:hi] = _forward(model.mlp, readout).probs
-        lo = hi
+    for lo in range(0, n, SCORE_ROWS):
+        probs[lo : lo + SCORE_ROWS] = _score_block(model, normed[lo : lo + SCORE_ROWS])
     return probs
 
 
@@ -179,7 +182,7 @@ def hybrid_forward_batch(model: HybridModel, features) -> np.ndarray:
     The rows are normalized (and checked) once as a whole, then scored in
     blocks of SCORE_ROWS rows: the temporaries of the readout and the layer
     loop stay block-sized, so memory grows only with the input and the
-    output.  A row's result does not depend on the block it falls in.
+    output.  A row's result depends neither on its block nor on the rows with it.
     """
     return _forward_normed(model, apply_normalizer(model.normalizer, features))
 
@@ -189,9 +192,7 @@ def hybrid_forward(model: HybridModel, features) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 1:
         raise ValueError("hybrid_forward takes one sample; use hybrid_forward_batch")
-    normed = apply_normalizer(model.normalizer, features[None, :])
-    two_rows = np.concatenate((normed, normed))  # 2 rows: BLAS sums as for a batch
-    return _forward_normed(model, two_rows)[0]
+    return _score_block(model, apply_normalizer(model.normalizer, features[None, :]))[0]
 
 
 def model_parameters(model: HybridModel) -> list[np.ndarray]:

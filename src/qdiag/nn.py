@@ -87,14 +87,20 @@ def elu(x: np.ndarray) -> np.ndarray:
 
 def elu_grad(x: np.ndarray) -> np.ndarray:
     """Derivative of elu; the kink at 0 takes the left/right-agreeing value 1."""
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+    return np.exp(np.minimum(np.asarray(x, dtype=np.float64), 0.0))  # exp(0) is 1
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shifted by the row max for stability."""
+    """Row-wise softmax, shifted for stability by the row max: a running max
+    over the class columns, far cheaper than a reduction on many short rows."""
     logits = np.asarray(logits, dtype=np.float64)
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    if logits.ndim == 0 or logits.shape[-1] == 0:
+        raise ValueError(f"softmax needs at least one class, got shape {logits.shape}")
+    top = logits[..., 0]
+    for k in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., k])
+    e = np.subtract(logits, top[..., None])
+    np.exp(e, out=e)
     return np.divide(e, e.sum(axis=-1, keepdims=True), out=e)
 
 
@@ -175,7 +181,8 @@ def _forward(model: MlpModel, a: np.ndarray) -> ForwardCache:
     inputs, pre_acts = [], []
     for i, layer in enumerate(model.layers):
         inputs.append(a)
-        z = a @ layer.weights.T + layer.biases
+        z = a @ layer.weights.T
+        z += layer.biases
         pre_acts.append(z)
         a = z if i == len(model.layers) - 1 else elu(z)
     return ForwardCache(inputs, pre_acts, softmax(a))

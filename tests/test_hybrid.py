@@ -233,7 +233,7 @@ def test_scoring_blocks_reproduce_the_oracle_at_their_edges(n):
 @pytest.mark.parametrize("blocks", [1, 2])
 def test_no_scoring_block_is_a_single_row(blocks):
     # BLAS sums a one-row product (gemv) in another order than a batch
-    # (gemm), so a one-row last block could change that row's last bits.
+    # (gemm), so a one-row last block must be scored as two rows.
     model, _ = scoring_cases(blocks)
     lo, hi = model.normalizer.minimum, model.normalizer.maximum
     rng = np.random.default_rng(blocks)
@@ -242,6 +242,22 @@ def test_no_scoring_block_is_a_single_row(blocks):
         rows[-1] = tail
         want = oracle_probs(model, oracle_normalize(model.normalizer, rows))
         assert hybrid_forward_batch(model, rows).tobytes() == want.tobytes()
+
+
+def test_one_row_batch_scores_like_its_row_in_any_batch():
+    # A one-row block is scored as two rows, so BLAS sums it as it sums a batch.
+    for seed in range(20):
+        model, _ = scoring_cases(seed)
+        lo, hi = model.normalizer.minimum, model.normalizer.maximum
+        rows = lo + (hi - lo) * np.random.default_rng(seed).uniform(-0.5, 1.5, size=(100, 5))
+        labels = np.arange(100) % 3
+        whole = hybrid_forward_batch(model, rows)
+        assert whole[:7].tobytes() == hybrid_forward_batch(model, rows[:7]).tobytes()
+        for i, row in enumerate(rows):
+            assert hybrid_forward_batch(model, rows[i : i + 1]).tobytes() == whole[i].tobytes()
+            assert hybrid_forward(model, row).tobytes() == whole[i].tobytes()
+        one = evaluate(model, rows[:1], labels[:1])
+        assert one.loss == cross_entropy(whole[:1], labels[:1])
 
 
 def test_batch_scoring_memory_is_bounded_by_input_and_output():

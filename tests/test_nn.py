@@ -45,20 +45,33 @@ def test_elu_values():
 
 
 def test_elu_and_softmax_equal_their_select_and_divide_forms():
-    # The forms elu and softmax had before they worked in place: elu must
-    # equal them up to the sign of a zero, softmax bit for bit.
+    # The forms elu, elu_grad and softmax had before they worked in place or
+    # column by column: elu must equal them up to the sign of a zero,
+    # elu_grad and softmax bit for bit.
     rng = np.random.default_rng(11)
     x = rng.normal(size=(400, 10)) * 10.0 ** rng.uniform(-320, 3, size=(400, 10))
     x[:5] = [-0.0, 0.0, -5e-324, 5e-324, -1e-300, 1e-300, -745.0, -1e308, 1e308, 0.5]
     assert np.array_equal(elu(x), np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0))))
     assert elu(-0.5) == np.expm1(-0.5) and elu(2.0) == 2.0
+    edges = np.concatenate([x.ravel(), [np.inf, -np.inf, np.nan]])
+    with np.errstate(invalid="ignore"):
+        want_grad = np.where(edges >= 0.0, 1.0, np.exp(np.minimum(edges, 0.0)))
+    assert elu_grad(edges).tobytes() == want_grad.tobytes()
+    assert elu_grad(0.0) == 1.0 and elu_grad(-0.0) == 1.0
+    odd = rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf, np.nan], size=(300, 5))
     cases = [x[:, :3] / 1e300, rng.normal(scale=30.0, size=(50, 3)), np.zeros(3),
-             rng.normal(size=4), np.empty((0, 3))]
+             rng.normal(size=4), np.empty((0, 3)), odd, odd[:, :3], odd[0]]
     cases += [rng.normal(scale=10.0 ** k, size=(rows, c))
-              for c in range(1, 7) for rows in (1, 7, 2000) for k in (-3, 0, 3)]
-    for logits in cases:
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        assert softmax(logits).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+              for c in range(1, 13) for rows in (1, 7, 2000) for k in (-3, 0, 3)]
+    cases += [np.round(rng.normal(size=(500, c))) for c in (2, 3, 8, 12)]  # ties
+    with np.errstate(invalid="ignore"):
+        for logits in cases:
+            e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            assert softmax(logits).tobytes() == (e / e.sum(axis=-1, keepdims=True)).tobytes()
+    for no_class in (np.empty((2, 0)), np.empty(0), 1.0):
+        with pytest.raises(ValueError) as info:
+            softmax(no_class)
+        assert type(info.value) is ValueError and "at least one class" in str(info.value)
 
 
 def test_elu_is_continuous_at_zero():
