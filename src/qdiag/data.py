@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
@@ -437,6 +438,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
 
 # Sample lines written or parsed at a time: the signal text held in memory.
 CHUNK = 65536
+FEATURE_BLOCK = 64  # feature lines parsed at a time, which bounds the cells held
 
 
 @contextmanager
@@ -456,6 +458,30 @@ def open_input(path):
         raise ValueError(f"{path}: {e}") from None
 
 
+def _chunk_text(samples: np.ndarray) -> str:
+    """Sample lines of one chunk: each value's shortest round-trip repr."""
+    return "\n".join(map(repr, samples.tolist())) + "\n"
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _send_texts(chunks: list[np.ndarray], pipe, readers: list) -> None:
+    """A forked child's life: each chunk's text down `pipe`, then `os._exit`."""
+    code = 1
+    try:
+        for reader in readers:  # else a child could block on a pipe the parent closed
+            reader.close()
+        with pipe:
+            for chunk in chunks:
+                data = _chunk_text(chunk).encode("ascii")
+                pipe.write(len(data).to_bytes(8, "little") + data)
+        code = 0
+    finally:
+        os._exit(code)  # flushes no inherited buffer and returns to no caller
+
+
 def save_signals_csv(signals: list[RawSignal], path) -> None:
     if not signals:
         raise ValueError("no signals to save")
@@ -464,14 +490,37 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
         if bad.size:
             raise ValueError(f"record {i} ({signal.label}): sample {bad[0] + 1} must be "
                              f"finite, got {float(signal.samples[bad[0]])!r}")
-    with open(path, "w", encoding="ascii") as fh:
-        for i, signal in enumerate(signals):
-            if i:
-                fh.write("\n")
-            fh.write(f"{signal.label},{signal.load_lbs!r},{signal.sample_rate_hz!r}\n")
-            for start in range(0, signal.samples.size, CHUNK):
-                chunk = signal.samples[start : start + CHUNK].tolist()
-                fh.write("\n".join(map(repr, chunk)) + "\n")
+    chunks = [(i, start, s.samples[start : start + CHUNK]) for i, s in enumerate(signals)
+              for start in range(0, s.samples.size, CHUNK)]
+    workers = min(_usable_cpus(), len(chunks))
+    pids, readers = [], []
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            for k in range(workers if workers > 1 else 0):
+                r, w = os.pipe()
+                readers.append(open(r, "rb"))
+                with open(w, "wb") as pipe:
+                    pid = os.fork()
+                    if pid == 0:
+                        _send_texts([c for _, _, c in chunks[k::workers]], pipe, readers)
+                pids.append(pid)
+            for j, (i, start, chunk) in enumerate(chunks):
+                if start == 0:  # a record begins: a blank line, then its header
+                    s, gap = signals[i], "\n" if i else ""
+                    fh.write(f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n")
+                if readers:  # each text comes as an 8-byte length, then the ASCII bytes
+                    reader = readers[j % workers]
+                    size = int.from_bytes(head := reader.read(8), "little")
+                    data = reader.read(size) if len(head) == 8 else b""
+                    if len(head) < 8 or len(data) < size:
+                        raise OSError(f"record {i + 1}: the child process formatting it "
+                                      "ended early")
+                fh.write(data.decode("ascii") if readers else _chunk_text(chunk))
+    finally:
+        for reader in readers:  # a child still writing then fails on a closed pipe
+            reader.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _parse_float(text: str, line_no: int, what: str) -> float:
@@ -561,13 +610,24 @@ def save_features_csv(dataset: Dataset, path) -> None:
 
 
 def load_features_csv(path) -> Dataset:
-    rows: list[list[float]] = []
-    labels: list[int] = []
     with open_input(path) as fh:
         header = fh.readline().strip()
         if header != FEATURE_CSV_HEADER:
             raise ValueError(f"line 1: expected header {FEATURE_CSV_HEADER!r}, got {header!r}")
-        for line_no, raw in enumerate(fh, start=2):
+        lines, blocks, labels = fh.readlines(), [], []
+        try:  # one numpy parse per block; any doubt sends the file through the line loop
+            for start in range(0, len(lines), FEATURE_BLOCK):
+                block = lines[start : start + FEATURE_BLOCK]
+                cells = [line.split(",") for line in block if line.strip()]
+                labels += [LABEL_TO_INDEX[row[-1].rstrip("\n")] for row in cells]
+                blocks.append(np.array([row[:-1] for row in cells], dtype=np.float64))
+                if blocks[-1].shape[1:] != (NUM_FEATURES,) or not np.isfinite(blocks[-1]).all():
+                    raise ValueError  # wrong widths, non-finite cells, or only blank lines
+            return Dataset(np.concatenate(blocks), np.array(labels))  # no rows: ValueError
+        except (KeyError, ValueError):  # also a padded or unknown label, or bad text
+            pass
+        rows, labels = [], []
+        for line_no, raw in enumerate(lines, start=2):
             line = raw.strip()
             if not line:
                 continue

@@ -1,7 +1,12 @@
 """Tests for the signal pipeline: decimation, windows, features, CSV."""
 
 import dataclasses
+import os
 import re
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,6 +569,135 @@ def test_signals_csv_writer_refuses_non_finite_samples(tmp_path):
     assert not path.exists()
 
 
+# With several usable CPUs the writer forks one child per CPU (at most one per
+# chunk); the children format chunks round-robin and the caller writes them.
+def per_sample_reference(signals):
+    return "\n".join(
+        f"{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
+        + "".join(f"{v!r}\n" for v in s.samples.tolist())
+        for s in signals
+    )
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids the writer forks.  The test fails after 60 s instead of
+    hanging, and a child it left running is then killed and reaped."""
+    fork, pids = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
+
+    def expire(signum, frame):
+        pytest.fail("still running after 60 s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+    for pid in pids:
+        try:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):  # still running: not reaped
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped, as it should be
+            pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "sizes", [[5], [CHUNK], [2 * CHUNK + 5], [CHUNK + 1, 3, 2 * CHUNK + 7, 10]],
+    ids=["short", "one_chunk", "three_chunks", "seven_chunks_in_four"])
+def test_pooled_signals_csv_writer_matches_the_per_sample_reference(
+        tmp_path, monkeypatch, forked, cpus, sizes):
+    rng = np.random.default_rng(len(sizes))
+    signals = [make_signal(rng.normal(size=n), label=LABELS[k % len(LABELS)], load=float(k))
+               for k, n in enumerate(sizes)]
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+    path = tmp_path / "signals.csv"
+    save_signals_csv(signals, path)
+    assert path.read_text() == per_sample_reference(signals)
+    workers = min(cpus, sum(-(-n // CHUNK) for n in sizes))
+    assert len(forked) == (workers if workers > 1 else 0)  # one chunk or CPU: no fork
+    assert_no_child_left()
+
+
+def fail_on_short_chunks(monkeypatch):
+    """Make the chunk formatter raise for every chunk shorter than CHUNK."""
+    chunk_text = qdiag.data._chunk_text
+
+    def failing(samples):
+        if samples.size < CHUNK:
+            raise RuntimeError("formatter failed")
+        return chunk_text(samples)
+    monkeypatch.setattr(qdiag.data, "_chunk_text", failing)
+
+
+def test_pooled_writer_failure_is_one_oserror_and_leaves_no_child(
+        tmp_path, monkeypatch, forked):
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    fail_on_short_chunks(monkeypatch)
+    signals = [make_signal(np.ones(3 * CHUNK)),
+               make_signal(np.ones(CHUNK + 9), label="inner_ring")]
+    with pytest.raises(OSError) as info:
+        save_signals_csv(signals, tmp_path / "signals.csv")
+    assert str(info.value) == "record 2: the child process formatting it ended early"
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_pooled_writer_that_cannot_write_ends_its_children(monkeypatch, forked):
+    """The caller fails while children still hold unsent text: closing the
+    pipes ends them, and each is waited for."""
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    with pytest.raises(OSError) as info:
+        save_signals_csv([make_signal(np.ones(6 * CHUNK))], "/dev/full")
+    assert "No space left on device" in str(info.value)
+    assert_no_child_left()
+
+
+SYNTH_SCRIPT = """
+import os, sys
+import qdiag.cli, qdiag.data
+qdiag.data._usable_cpus = lambda: 2
+if sys.argv[1] == "fail":
+    chunk_text = qdiag.data._chunk_text
+    def failing(samples):
+        if samples.size < qdiag.data.CHUNK:
+            raise RuntimeError("formatter failed")
+        return chunk_text(samples)
+    qdiag.data._chunk_text = failing
+print("printed once")  # not flushed: stdout to a pipe is block-buffered
+rc = qdiag.cli.main(["synth", "--per-class", "1", "--duration", "1", "--out", sys.argv[2]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(rc)
+"""
+
+
+@pytest.mark.parametrize("mode", ["succeed", "fail"])
+def test_pooled_synth_flushes_stdout_once_and_fails_with_one_error_line(tmp_path, mode):
+    src = str(Path(qdiag.data.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "signals.csv"
+    run = subprocess.run([sys.executable, "-c", SYNTH_SCRIPT, mode, str(out)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    if mode == "succeed":
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == f"printed once\nwrote 3 signal block(s) to {out}\nno child left\n"
+        assert len(load_signals_csv(out)) == 3
+    else:
+        assert run.returncode == 1
+        assert run.stderr == "error: record 1: the child process formatting it ended early\n"
+        assert run.stdout == "printed once\nno child left\n"
+
+
 @pytest.mark.parametrize("text", ["1_0", " 1.5 ", "\t2", "1e400", "nan", "0x10"])
 def test_numpy_parses_sample_text_like_float(text):
     """The chunk parse and the line loop must accept the same text."""
@@ -611,3 +745,43 @@ def test_features_csv_error_positions(tmp_path):
     with pytest.raises(ValueError, match="not ASCII text") as info:
         load_features_csv(path)
     assert str(info.value) == f"{path}: not ASCII text"
+
+
+def test_features_csv_one_parse_matches_the_line_loop(tmp_path, monkeypatch):
+    """Blank lines keep the file on the one numpy parse; padded cells send it
+    through the line loop; both give the same bits."""
+    rng = np.random.default_rng(5)
+    dataset = Dataset(rng.normal(size=(40, 5)) * 1e3, rng.integers(0, 3, size=40))
+    path = tmp_path / "features.csv"
+    save_features_csv(dataset, path)
+    header, *rows = path.read_text().splitlines(keepends=True)
+    clean = [header, "\n", *rows[:7], "  \n", "\n", *rows[7:], "\n"]
+    padded = [header, *(row.replace(",", " , ") for row in clean[1:])]
+    parse_float, calls = qdiag.data._parse_float, []
+    monkeypatch.setattr(qdiag.data, "_parse_float",
+                        lambda *args: calls.append(args[1]) or parse_float(*args))
+    path.write_text("".join(clean))
+    fast = load_features_csv(path)
+    assert calls == []
+    path.write_text("".join(padded))
+    slow = load_features_csv(path)
+    assert len(calls) == 5 * len(rows)
+    for loaded in (fast, slow):
+        assert loaded.features.tobytes() == dataset.features.tobytes()
+        assert loaded.labels.tobytes() == dataset.labels.tobytes()
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2,3,4,baseline", "line 3: expected 5 feature columns plus a label, got 5 field(s)"),
+    ("1,2,3,4,5,6,baseline", "line 3: expected 5 feature columns plus a label, got 7 field(s)"),
+    ("1,2,x,4,5,baseline", "line 3: max_amplitude is not a number: 'x'"),
+    ("1,2,3,inf,5,baseline", "line 3: peak_to_peak must be finite, got 'inf'"),
+    ("1,2,3,4,5, cage ", "line 3: unknown label 'cage'"),
+])
+def test_features_csv_rows_off_the_one_parse_keep_their_messages(tmp_path, row, message):
+    path = tmp_path / "features.csv"
+    path.write_text("mean,variance,max_amplitude,peak_to_peak,rms,label\n"
+                    f"1,2,3,4,5,baseline\n{row}\n1,2,3,4,5,inner_ring\n")
+    with pytest.raises(ValueError) as info:
+        load_features_csv(path)
+    assert str(info.value).startswith(f"{path}: {message}")
