@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from contextlib import contextmanager
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -438,6 +439,7 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
 
 # Sample lines written or parsed at a time: the signal text held in memory.
 CHUNK = 65536
+TEXT_SLICE = 4096  # sample lines joined at a time on their way to a parsing child
 FEATURE_BLOCK = 64  # feature lines parsed at a time, which bounds the cells held
 
 
@@ -467,6 +469,20 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
+def _send(pipe, parts, size: int) -> None:
+    """One message down a pipe: `size` as 8 little-endian bytes, then `parts`."""
+    pipe.writelines([size.to_bytes(8, "little"), *parts])
+    pipe.flush()
+
+
+def _receive(pipe) -> bytearray | None:
+    """The next message, read into a fresh buffer; None if the pipe ends short."""
+    if len(head := pipe.read(8)) < 8:
+        return None
+    data = bytearray(int.from_bytes(head, "little"))
+    return data if pipe.readinto(data) == len(data) else None
+
+
 def _send_texts(chunks: list[np.ndarray], pipe, readers: list) -> None:
     """A forked child's life: each chunk's text down `pipe`, then `os._exit`."""
     code = 1
@@ -476,7 +492,7 @@ def _send_texts(chunks: list[np.ndarray], pipe, readers: list) -> None:
         with pipe:
             for chunk in chunks:
                 data = _chunk_text(chunk).encode("ascii")
-                pipe.write(len(data).to_bytes(8, "little") + data)
+                _send(pipe, [data], len(data))
         code = 0
     finally:
         os._exit(code)  # flushes no inherited buffer and returns to no caller
@@ -494,8 +510,10 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
               for start in range(0, s.samples.size, CHUNK)]
     workers = min(_usable_cpus(), len(chunks))
     pids, readers = [], []
+    fh = open(path, "wb")
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # never remove a device
     try:
-        with open(path, "w", encoding="ascii") as fh:
+        with fh:
             for k in range(workers if workers > 1 else 0):
                 r, w = os.pipe()
                 readers.append(open(r, "rb"))
@@ -507,15 +525,19 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
             for j, (i, start, chunk) in enumerate(chunks):
                 if start == 0:  # a record begins: a blank line, then its header
                     s, gap = signals[i], "\n" if i else ""
-                    fh.write(f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n")
-                if readers:  # each text comes as an 8-byte length, then the ASCII bytes
-                    reader = readers[j % workers]
-                    size = int.from_bytes(head := reader.read(8), "little")
-                    data = reader.read(size) if len(head) == 8 else b""
-                    if len(head) < 8 or len(data) < size:
-                        raise OSError(f"record {i + 1}: the child process formatting it "
-                                      "ended early")
-                fh.write(data.decode("ascii") if readers else _chunk_text(chunk))
+                    header = f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
+                    fh.write(header.encode("ascii"))
+                data = (_receive(readers[j % workers]) if readers
+                        else _chunk_text(chunk).encode("ascii"))
+                if data is None:
+                    raise OSError(f"record {i + 1}: the child process formatting it "
+                                  "ended early")
+                fh.write(data)
+    except BaseException:
+        if regular:  # a failed write leaves no partial file
+            with suppress(OSError):
+                os.remove(path)
+        raise
     finally:
         for reader in readers:  # a child still writing then fails on a closed pipe
             reader.close()
@@ -540,7 +562,106 @@ def _parse_label(text: str, line_no: int) -> str:
     return label
 
 
+def _parse_texts(source, answers, inherited: list) -> None:
+    """A forked child's life: answer each sample text from `source` with its float64
+    bytes, or end unanswered (the parent's doubt) where the fast path refuses it."""
+    try:
+        for pipe in inherited:  # else a child could block on a pipe the parent closed
+            pipe.close()
+        while (data := _receive(source)) is not None:
+            lines = data.decode("ascii").split("\n")  # at "\n" alone, like the file iterator
+            values = np.array(lines if lines[-1] else lines[:-1], dtype=np.float64)
+            if not np.isfinite(values).all():
+                break
+            _send(answers, [values], values.nbytes)
+    finally:
+        os._exit(0)  # flushes no inherited buffer and returns to no caller
+
+
+class _Parsers:
+    """W forked children that parse sample texts: child k takes texts k, k + W, ...
+    Its answer is collected before it gets another, so answers come in file order
+    and no two full pipes wait on each other."""
+
+    def __init__(self, workers: int):
+        self.workers, self.sent, self.pids, self.pipes, self.waiting = workers, 0, [], [], []
+
+    def send(self, chunk: list[str], end: int, pieces: list, record) -> None:
+        """`chunk[:end]` to the next child; its answer joins `pieces` (and ends `record`)."""
+        k, self.sent = self.sent % self.workers, self.sent + 1
+        while len(self.pids) < self.workers:  # the first text forks every child
+            (r, w), (r2, w2) = os.pipe(), os.pipe()
+            self.pipes += [open(w, "wb"), open(r2, "rb")]
+            with open(r, "rb") as source, open(w2, "wb") as answers:
+                if (pid := os.fork()) == 0:
+                    _parse_texts(source, answers, self.pipes)
+            self.pids.append(pid)
+        if len(self.waiting) == self.workers:
+            self.collect()
+        text = ["".join(chunk[i : min(i + TEXT_SLICE, end)]).encode("ascii")
+                for i in range(0, end, TEXT_SLICE)]  # in slices: no joined str of it all
+        _send(self.pipes[2 * k], text, sum(map(len, text)))
+        self.waiting.append((self.pipes[2 * k + 1], pieces, record))
+
+    def collect(self) -> None:
+        pipe, pieces, record = self.waiting.pop(0)
+        if (data := _receive(pipe)) is None:
+            raise ValueError("a child refused its sample text or died")  # a doubt
+        pieces.append(np.frombuffer(data))
+        if record:
+            _add_signal(pieces, *record)
+
+    def close(self) -> None:
+        for pipe in self.pipes:  # a child waiting on either end then ends
+            with suppress(OSError):
+                pipe.close()
+        for pid in self.pids:
+            os.waitpid(pid, 0)
+
+
+def _parse_chunk(chunk: list[str], end: int, line_no: int) -> np.ndarray:
+    """`chunk[:end]` in one numpy parse, else the line loop (a bad line, or spaces)."""
+    try:
+        values = np.array(chunk[:end], dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:  # bad text, or a block end made of spaces
+        pass
+    parsed = []
+    for n, raw in enumerate(chunk, start=line_no + 1):
+        line = raw.strip()
+        if not line:
+            break
+        if "," in line:
+            raise ValueError(f"line {n}: expected one sample value, got {line!r}")
+        parsed.append(_parse_float(line, n, "sample"))
+    return np.array(parsed, dtype=np.float64)
+
+
+def _add_signal(chunks: list, signals: list, header_no: int, rate, label, load) -> None:
+    samples = np.concatenate(chunks)
+    if not samples.size:
+        raise ValueError(f"line {header_no}: signal block has no samples")
+    signals.append(RawSignal(samples, rate, label, load))
+
+
 def load_signals_csv(path) -> list[RawSignal]:
+    """Signal records.  With more than one usable CPU, forked children parse the
+    sample text from the first full chunk on; any doubt (a text they refuse, a
+    child that died, an error in the walk) rereads the file with the serial loop."""
+    if (workers := _usable_cpus()) > 1:
+        parsers = _Parsers(workers)
+        try:
+            return _read_signals(path, parsers)
+        except (ValueError, OSError):
+            if not parsers.sent:  # nothing was sent: that was the serial loop
+                raise
+        finally:
+            parsers.close()
+    return _read_signals(path, None)
+
+
+def _read_signals(path, parsers: _Parsers | None) -> list[RawSignal]:
     signals: list[RawSignal] = []
     with open_input(path) as fh:
         lines, line_no = fh, 0
@@ -562,39 +683,27 @@ def load_signals_csv(path) -> list[RawSignal]:
             if rate <= 0:
                 raise ValueError(f"line {header_no}: sample rate must be positive")
             chunks: list[np.ndarray] = []
-            while not chunks or chunks[-1].size == CHUNK:  # a short chunk ends the block
+            end = CHUNK
+            while end == CHUNK:  # a short chunk ends the block
                 chunk = list(itertools.islice(lines, CHUNK))
                 # A blank line ends the block; numpy parses the samples before it.
                 end = chunk.index("\n") if "\n" in chunk else len(chunk)
-                try:
-                    values = np.array(chunk[:end], dtype=np.float64)
-                except ValueError:  # bad text, or a block end made of spaces
-                    values = None
-                if values is None or not np.isfinite(values).all():
-                    # The line loop names the bad line or finds a line of spaces.
-                    parsed = []
-                    for n, raw in enumerate(chunk, start=line_no + 1):
-                        line = raw.strip()
-                        if not line:
-                            break
-                        if "," in line:
-                            raise ValueError(
-                                f"line {n}: expected one sample value, got {line!r}"
-                            )
-                        parsed.append(_parse_float(line, n, "sample"))
-                    values = np.array(parsed, dtype=np.float64)
-                    end = values.size
-                chunks.append(values)
+                if pooled := parsers is not None and (parsers.sent or len(chunk) == CHUNK):
+                    parsers.send(chunk, end, chunks,
+                                 end < CHUNK and (signals, header_no, rate, label, load))
+                else:
+                    chunks.append(_parse_chunk(chunk, end, line_no))
+                    end = chunks[-1].size
                 line_no += end
                 if end < len(chunk):  # chunk[end] is the blank line that ends the block
                     line_no += 1
                     # The rest is shorter than a chunk, so the next block's
                     # first chunk drains it before it reads on from the file.
                     lines = itertools.chain(chunk[end + 1 :], fh)
-            samples = np.concatenate(chunks)
-            if not samples.size:
-                raise ValueError(f"line {header_no}: signal block has no samples")
-            signals.append(RawSignal(samples, rate, label, load))
+            if not pooled:
+                _add_signal(chunks, signals, header_no, rate, label, load)
+        while parsers is not None and parsers.waiting:
+            parsers.collect()
         if not signals:
             raise ValueError("no signal blocks found")
         return signals

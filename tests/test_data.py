@@ -4,6 +4,7 @@ import dataclasses
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -586,8 +587,8 @@ def assert_no_child_left():
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pids the writer forks.  The test fails after 60 s instead of
-    hanging, and a child it left running is then killed and reaped."""
+    """The pids the writer or the reader forks.  The test fails after 60 s
+    instead of hanging, and a child it left running is then killed and reaped."""
     fork, pids = os.fork, []
     monkeypatch.setattr(os, "fork", lambda: pids.append(fork()) or pids[-1])
 
@@ -656,6 +657,138 @@ def test_pooled_writer_that_cannot_write_ends_its_children(monkeypatch, forked):
     with pytest.raises(OSError) as info:
         save_signals_csv([make_signal(np.ones(6 * CHUNK))], "/dev/full")
     assert "No space left on device" in str(info.value)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_writer_that_fails_removes_its_partial_file(tmp_path, monkeypatch, forked, cpus):
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+    fail_on_short_chunks(monkeypatch)
+    path = tmp_path / "partial.csv"
+    with pytest.raises(OSError if cpus > 1 else RuntimeError):
+        save_signals_csv([make_signal(np.ones(CHUNK + 9))], path)
+    assert not path.exists()
+    assert_no_child_left()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_writer_that_fails_never_removes_a_device(monkeypatch, forked):
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    with pytest.raises(OSError):
+        save_signals_csv([make_signal(np.ones(3 * CHUNK))], "/dev/full")
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+# From the first full chunk on, with several usable CPUs, the reader's walk
+# sends each chunk's sample text to one of W forked children; any doubt
+# reads the file again with the serial loop, which these tests call directly.
+def serial_records(path):
+    return qdiag.data._read_signals(path, None)
+
+
+def assert_same_records(got, want):
+    assert [(s.label, s.load_lbs, s.sample_rate_hz) for s in got] == [
+        (s.label, s.load_lbs, s.sample_rate_hz) for s in want]
+    assert [s.samples.tobytes() for s in got] == [s.samples.tobytes() for s in want]
+
+
+def write_records(path, sizes, newline="\n"):
+    """Records of the given sizes, 1 to 3 blank lines between them."""
+    blocks = [f"{LABELS[k % 3]},{float(k)!r},97656.0\n" + "".join(sample_lines(n, seed=k))
+              for k, n in enumerate(sizes)]
+    text = "".join(b + "\n" * (k % 3 + 1) for k, b in enumerate(blocks[:-1])) + blocks[-1]
+    path.write_bytes(text.replace("\n", newline).encode("ascii"))
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize(
+    "sizes", [[5], [CHUNK], [2 * CHUNK + 5], [CHUNK + 1, 3, 2 * CHUNK + 7, 10],
+              [2 * CHUNK, CHUNK - 1, 4, 4 * CHUNK + 3]],
+    ids=["short", "one_chunk", "three_chunks", "seven_chunks_in_four", "exact_and_odd"])
+def test_pooled_reader_matches_the_serial_loop(tmp_path, monkeypatch, forked, cpus, sizes,
+                                               newline):
+    path = tmp_path / "signals.csv"
+    write_records(path, sizes, newline)
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+    signals = load_signals_csv(path)
+    assert [s.samples.size for s in signals] == sizes
+    assert_same_records(signals, serial_records(path))
+    full_chunk = max(sizes) >= CHUNK  # else the file is shorter than one chunk
+    assert len(forked) == (cpus if cpus > 1 and full_chunk else 0)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("blank_no", [CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
+                                      2 * CHUNK + 1, 2 * CHUNK + 2])
+def test_pooled_reader_doubts_a_block_end_of_spaces(tmp_path, monkeypatch, forked, cpus,
+                                                    blank_no):
+    first, second = sample_lines(blank_no - 2, seed=1), sample_lines(CHUNK + 3, seed=2)
+    path = tmp_path / "two.csv"
+    path.write_text("".join([HEADER + "\n", *first, "  \n", "inner_ring,0.0,48828.0\n",
+                             *second]))
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+    a, b = load_signals_csv(path)
+    assert (a.label, b.label, b.sample_rate_hz) == ("baseline", "inner_ring", 48828.0)
+    assert a.samples.tolist() == [float(v) for v in first]
+    assert b.samples.tolist() == [float(v) for v in second]
+    assert len(forked) == cpus
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("bad", ["abc", "inf", "nan", "1.0,2.0", "1.0\xe9"])
+def test_pooled_reader_doubt_keeps_the_serial_message(tmp_path, monkeypatch, forked, cpus,
+                                                      bad):
+    """A defect in the second chunk; the first chunk goes to a child."""
+    lines = [HEADER + "\n"] + sample_lines(3 * CHUNK)
+    lines[CHUNK + 2000] = bad + "\n"  # past the text decoded with the first chunk
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(lines).encode("latin-1"))
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+    with pytest.raises(ValueError) as info:
+        load_signals_csv(path)
+    message = ("not ASCII text" if bad.endswith("\xe9")
+               else f"line {CHUNK + 2001}: {BAD_SAMPLES[bad]}")
+    assert str(info.value) == f"{path}: {message}"
+    assert len(forked) == cpus
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("later", ["1.0\xe9\n", "\n"], ids=["non_ascii", "blank_in_record"])
+def test_pooled_reader_reports_the_first_defect_not_the_walks(tmp_path, monkeypatch, forked,
+                                                              later):
+    """The walk fails in chunk 2 (a non-ASCII byte, or a sample read as a header
+    after a stray blank line) while chunk 1's doubt is still unread; the
+    serial loop stops at chunk 1's bad sample."""
+    lines = [HEADER + "\n"] + sample_lines(3 * CHUNK)
+    lines[9], lines[CHUNK + 2000] = "abc\n", later
+    path = tmp_path / "bad.csv"
+    path.write_bytes("".join(lines).encode("latin-1"))
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError) as info:
+        load_signals_csv(path)
+    assert str(info.value) == f"{path}: line 10: sample is not a number: 'abc'"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("when", ["at_once", "after_one_text"])
+def test_pooled_reader_child_that_dies_changes_nothing(tmp_path, monkeypatch, forked, when):
+    path = tmp_path / "signals.csv"
+    write_records(path, [CHUNK + 1, 3, 3 * CHUNK + 7, 10])
+    parse_texts = qdiag.data._parse_texts
+
+    def dying(source, answers, inherited):
+        if len(forked) == 2:  # the second child: the fixture's list ends in its 0
+            if when == "after_one_text":
+                qdiag.data._receive(source)
+            os._exit(1)
+        parse_texts(source, answers, inherited)
+    monkeypatch.setattr(qdiag.data, "_parse_texts", dying)
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    assert_same_records(load_signals_csv(path), serial_records(path))
+    assert len(forked) == 2
     assert_no_child_left()
 
 
