@@ -15,11 +15,13 @@ data comes in through a plain CSV bridge documented in the README.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import stat
-from contextlib import contextmanager, suppress
+from array import array
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -469,8 +471,9 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _send(pipe, parts, size: int) -> None:
-    """One message down a pipe: `size` as 8 little-endian bytes, then `parts`."""
+def _send(pipe, parts: list) -> None:
+    """One message down a pipe: its size as 8 little-endian bytes, then `parts`."""
+    size = sum(memoryview(part).nbytes for part in parts)
     pipe.writelines([size.to_bytes(8, "little"), *parts])
     pipe.flush()
 
@@ -483,19 +486,67 @@ def _receive(pipe) -> bytearray | None:
     return data if pipe.readinto(data) == len(data) else None
 
 
-def _send_texts(chunks: list[np.ndarray], pipe, readers: list) -> None:
-    """A forked child's life: each chunk's text down `pipe`, then `os._exit`."""
-    code = 1
+def _serve(work, source, answers, inherited: list) -> None:
+    """A forked child's life: answer each message from `source` with `work(message)`
+    down `answers`.  A raise ends it unanswered."""
     try:
-        for reader in readers:  # else a child could block on a pipe the parent closed
-            reader.close()
-        with pipe:
-            for chunk in chunks:
-                data = _chunk_text(chunk).encode("ascii")
-                _send(pipe, [data], len(data))
-        code = 0
+        for pipe in inherited:  # else a child could block on a pipe the parent closed
+            pipe.close()
+        while (message := _receive(source)) is not None:
+            _send(answers, [work(message)])
     finally:
-        os._exit(code)  # flushes no inherited buffer and returns to no caller
+        os._exit(0)  # flushes no inherited buffer and returns to no caller
+
+
+class _Pool:
+    """`work` on each message: in W forked children, or in-process with W = 1.
+
+    The first message forks every child.  Child k takes messages k, k + W, ...;
+    its answer is read before it gets another, so answers come in message order
+    and no two full pipes wait on each other."""
+
+    def __init__(self, work, workers: int):
+        self.work, self.workers, self.sent = work, workers, 0
+        self.pids, self.pipes, self.waiting = [], [], []
+
+    def send(self, parts: list, then) -> None:
+        """`parts` as one message; `then(answer)` runs in message order, with None
+        for a child that ended without an answer."""
+        if self.workers == 1:
+            return then(self.work(b"".join(parts)))
+        while len(self.pids) < self.workers:
+            (r, w), (r2, w2) = os.pipe(), os.pipe()
+            self.pipes += [open(w, "wb"), open(r2, "rb")]
+            with open(r, "rb") as source, open(w2, "wb") as answers:
+                if (pid := os.fork()) == 0:
+                    _serve(self.work, source, answers, self.pipes)
+            self.pids.append(pid)
+        k, self.sent = self.sent % self.workers, self.sent + 1
+        # Child k's last answer is read before its next message and handled after,
+        # so the child works while the parent handles.
+        handle = self._read() if len(self.waiting) == self.workers else None
+        with suppress(BrokenPipeError):  # a child that ended reads short, as None
+            _send(self.pipes[2 * k], parts)
+        self.waiting.append((self.pipes[2 * k + 1], then))
+        if handle:
+            handle()
+
+    def _read(self):
+        """The oldest answer still out, read now and handed to its `then` later."""
+        pipe, then = self.waiting.pop(0)
+        return functools.partial(then, _receive(pipe))
+
+    def drain(self) -> None:
+        while self.waiting:
+            self._read()()
+
+    def close(self) -> None:
+        """Close every pipe, which ends each child, and wait for every child."""
+        for pipe in self.pipes:
+            with suppress(OSError):
+                pipe.close()
+        for pid in self.pids:
+            os.waitpid(pid, 0)
 
 
 def save_signals_csv(signals: list[RawSignal], path) -> None:
@@ -508,41 +559,29 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
                              f"finite, got {float(signal.samples[bad[0]])!r}")
     chunks = [(i, start, s.samples[start : start + CHUNK]) for i, s in enumerate(signals)
               for start in range(0, s.samples.size, CHUNK)]
-    workers = min(_usable_cpus(), len(chunks))
-    pids, readers = [], []
+    pool = _Pool(lambda data: _chunk_text(np.frombuffer(data)).encode("ascii"),
+                 min(_usable_cpus(), len(chunks)))
     fh = open(path, "wb")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # never remove a device
+
+    def write(i: int, start: int, text: bytes | None) -> None:
+        if text is None:
+            raise OSError(f"record {i + 1}: the child process formatting it ended early")
+        if start == 0:  # a record begins: a blank line, then its header
+            s, gap = signals[i], "\n" if i else ""
+            fh.write(f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n".encode("ascii"))
+        fh.write(text)
+
     try:
-        with fh:
-            for k in range(workers if workers > 1 else 0):
-                r, w = os.pipe()
-                readers.append(open(r, "rb"))
-                with open(w, "wb") as pipe:
-                    pid = os.fork()
-                    if pid == 0:
-                        _send_texts([c for _, _, c in chunks[k::workers]], pipe, readers)
-                pids.append(pid)
-            for j, (i, start, chunk) in enumerate(chunks):
-                if start == 0:  # a record begins: a blank line, then its header
-                    s, gap = signals[i], "\n" if i else ""
-                    header = f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
-                    fh.write(header.encode("ascii"))
-                data = (_receive(readers[j % workers]) if readers
-                        else _chunk_text(chunk).encode("ascii"))
-                if data is None:
-                    raise OSError(f"record {i + 1}: the child process formatting it "
-                                  "ended early")
-                fh.write(data)
+        with fh, closing(pool):
+            for i, start, chunk in chunks:  # a strided view cannot go down a pipe
+                pool.send([np.ascontiguousarray(chunk)], functools.partial(write, i, start))
+            pool.drain()
     except BaseException:
         if regular:  # a failed write leaves no partial file
             with suppress(OSError):
                 os.remove(path)
         raise
-    finally:
-        for reader in readers:  # a child still writing then fails on a closed pipe
-            reader.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _parse_float(text: str, line_no: int, what: str) -> float:
@@ -562,148 +601,107 @@ def _parse_label(text: str, line_no: int) -> str:
     return label
 
 
-def _parse_texts(source, answers, inherited: list) -> None:
-    """A forked child's life: answer each sample text from `source` with its float64
-    bytes, or end unanswered (the parent's doubt) where the fast path refuses it."""
-    try:
-        for pipe in inherited:  # else a child could block on a pipe the parent closed
-            pipe.close()
-        while (data := _receive(source)) is not None:
-            lines = data.decode("ascii").split("\n")  # at "\n" alone, like the file iterator
-            values = np.array(lines if lines[-1] else lines[:-1], dtype=np.float64)
-            if not np.isfinite(values).all():
-                break
-            _send(answers, [values], values.nbytes)
-    finally:
-        os._exit(0)  # flushes no inherited buffer and returns to no caller
+def _parse_header(line: str, line_no: int) -> tuple[float, str, float]:
+    """A stripped block header as `RawSignal`'s (sample_rate_hz, label, load_lbs)."""
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"line {line_no}: block header needs 3 fields "
+                         f"(label,load_lbs,sample_rate_hz), got {len(parts)}")
+    label = _parse_label(parts[0], line_no)
+    load = _parse_float(parts[1], line_no, "load_lbs")
+    rate = _parse_float(parts[2], line_no, "sample_rate_hz")
+    if rate <= 0:
+        raise ValueError(f"line {line_no}: sample rate must be positive")
+    return rate, label, load
 
 
-class _Parsers:
-    """W forked children that parse sample texts: child k takes texts k, k + W, ...
-    Its answer is collected before it gets another, so answers come in file order
-    and no two full pipes wait on each other."""
-
-    def __init__(self, workers: int):
-        self.workers, self.sent, self.pids, self.pipes, self.waiting = workers, 0, [], [], []
-
-    def send(self, chunk: list[str], end: int, pieces: list, record) -> None:
-        """`chunk[:end]` to the next child; its answer joins `pieces` (and ends `record`)."""
-        k, self.sent = self.sent % self.workers, self.sent + 1
-        while len(self.pids) < self.workers:  # the first text forks every child
-            (r, w), (r2, w2) = os.pipe(), os.pipe()
-            self.pipes += [open(w, "wb"), open(r2, "rb")]
-            with open(r, "rb") as source, open(w2, "wb") as answers:
-                if (pid := os.fork()) == 0:
-                    _parse_texts(source, answers, self.pipes)
-            self.pids.append(pid)
-        if len(self.waiting) == self.workers:
-            self.collect()
-        text = ["".join(chunk[i : min(i + TEXT_SLICE, end)]).encode("ascii")
-                for i in range(0, end, TEXT_SLICE)]  # in slices: no joined str of it all
-        _send(self.pipes[2 * k], text, sum(map(len, text)))
-        self.waiting.append((self.pipes[2 * k + 1], pieces, record))
-
-    def collect(self) -> None:
-        pipe, pieces, record = self.waiting.pop(0)
-        if (data := _receive(pipe)) is None:
-            raise ValueError("a child refused its sample text or died")  # a doubt
-        pieces.append(np.frombuffer(data))
-        if record:
-            _add_signal(pieces, *record)
-
-    def close(self) -> None:
-        for pipe in self.pipes:  # a child waiting on either end then ends
-            with suppress(OSError):
-                pipe.close()
-        for pid in self.pids:
-            os.waitpid(pid, 0)
+def _parse_samples(lines: list[str]) -> np.ndarray:
+    """One numpy parse, bit-exact against `float()`; a non-finite value is a doubt."""
+    values = np.array(lines, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("a sample is not finite")
+    return values
 
 
-def _parse_chunk(chunk: list[str], end: int, line_no: int) -> np.ndarray:
-    """`chunk[:end]` in one numpy parse, else the line loop (a bad line, or spaces)."""
-    try:
-        values = np.array(chunk[:end], dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:  # bad text, or a block end made of spaces
-        pass
-    parsed = []
-    for n, raw in enumerate(chunk, start=line_no + 1):
-        line = raw.strip()
-        if not line:
-            break
-        if "," in line:
-            raise ValueError(f"line {n}: expected one sample value, got {line!r}")
-        parsed.append(_parse_float(line, n, "sample"))
-    return np.array(parsed, dtype=np.float64)
+def _parse_text(data: bytearray) -> np.ndarray:
+    """A parsing child's work: sample text in, its float64 values out."""
+    lines = data.decode("ascii").split("\n")  # at "\n" alone, like the file iterator
+    return _parse_samples(lines if lines[-1] else lines[:-1])
 
 
-def _add_signal(chunks: list, signals: list, header_no: int, rate, label, load) -> None:
-    samples = np.concatenate(chunks)
-    if not samples.size:
-        raise ValueError(f"line {header_no}: signal block has no samples")
-    signals.append(RawSignal(samples, rate, label, load))
+def _take(signals: list, pieces: list, record, values) -> None:
+    """The one record assembly, whoever parsed the chunk: its values join the
+    record's `pieces`, and the block's last chunk (`record` given) ends the record."""
+    if values is None:
+        raise ValueError("a child refused its sample text or died")
+    pieces.append(np.frombuffer(values))
+    if record is not None:
+        signals.append(RawSignal(np.concatenate(pieces), *record))
 
 
 def load_signals_csv(path) -> list[RawSignal]:
-    """Signal records.  With more than one usable CPU, forked children parse the
-    sample text from the first full chunk on; any doubt (a text they refuse, a
-    child that died, an error in the walk) rereads the file with the serial loop."""
-    if (workers := _usable_cpus()) > 1:
-        parsers = _Parsers(workers)
-        try:
-            return _read_signals(path, parsers)
-        except (ValueError, OSError):
-            if not parsers.sent:  # nothing was sent: that was the serial loop
-                raise
-        finally:
-            parsers.close()
-    return _read_signals(path, None)
+    """Signal records, read by the fast walk.  Any doubt in it (a `ValueError` or
+    an `OSError`) reads the file again with `_read_lines`, which words every error."""
+    pool = _Pool(_parse_text, _usable_cpus())
+    with suppress(ValueError, OSError), closing(pool):
+        return _read_fast(path, pool)
+    return _read_lines(path)
 
 
-def _read_signals(path, parsers: _Parsers | None) -> list[RawSignal]:
+def _read_fast(path, pool: _Pool) -> list[RawSignal]:
+    """A block ends only at a line that is exactly "\\n" or at the end of the file,
+    and each chunk's samples take one numpy parse: in the pool's children from the
+    first full chunk on when it has several, else here."""
     signals: list[RawSignal] = []
     with open_input(path) as fh:
-        lines, line_no = fh, 0
-        while (raw := next(lines, None)) is not None:
-            line_no += 1
-            line = raw.strip()
-            if not line:
+        lines, pooled = fh, False
+        while (line := next(lines, None)) is not None:
+            if line == "\n":
                 continue
-            header_no = line_no
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(
-                    f"line {header_no}: block header needs 3 fields "
-                    f"(label,load_lbs,sample_rate_hz), got {len(parts)}"
-                )
-            label = _parse_label(parts[0], header_no)
-            load = _parse_float(parts[1], header_no, "load_lbs")
-            rate = _parse_float(parts[2], header_no, "sample_rate_hz")
-            if rate <= 0:
-                raise ValueError(f"line {header_no}: sample rate must be positive")
-            chunks: list[np.ndarray] = []
-            end = CHUNK
+            record = _parse_header(line.strip(), 0)  # the line loop words any error
+            pieces, end = [], CHUNK
             while end == CHUNK:  # a short chunk ends the block
                 chunk = list(itertools.islice(lines, CHUNK))
-                # A blank line ends the block; numpy parses the samples before it.
                 end = chunk.index("\n") if "\n" in chunk else len(chunk)
-                if pooled := parsers is not None and (parsers.sent or len(chunk) == CHUNK):
-                    parsers.send(chunk, end, chunks,
-                                 end < CHUNK and (signals, header_no, rate, label, load))
+                take = functools.partial(_take, signals, pieces,
+                                         record if end < CHUNK else None)
+                pooled = pooled or (pool.workers > 1 and len(chunk) == CHUNK)
+                if pooled:
+                    pool.send(["".join(chunk[i : min(i + TEXT_SLICE, end)]).encode("ascii")
+                               for i in range(0, end, TEXT_SLICE)], take)  # no joined str
                 else:
-                    chunks.append(_parse_chunk(chunk, end, line_no))
-                    end = chunks[-1].size
-                line_no += end
+                    take(_parse_samples(chunk[:end]))
                 if end < len(chunk):  # chunk[end] is the blank line that ends the block
-                    line_no += 1
                     # The rest is shorter than a chunk, so the next block's
                     # first chunk drains it before it reads on from the file.
                     lines = itertools.chain(chunk[end + 1 :], fh)
-            if not pooled:
-                _add_signal(chunks, signals, header_no, rate, label, load)
-        while parsers is not None and parsers.waiting:
-            parsers.collect()
+        pool.drain()
+        if not signals:
+            raise ValueError("no signal blocks found")
+        return signals
+
+
+def _read_lines(path) -> list[RawSignal]:
+    """The reference reader, one line at a time, and the one that words every
+    error.  A whitespace-only line or the end of the file ends a block."""
+    signals: list[RawSignal] = []
+    with open_input(path) as fh:
+        header_no = 0
+        for line_no, raw in enumerate(itertools.chain(fh, [""]), start=1):
+            line = raw.strip()
+            if not header_no:
+                if line:
+                    header_no, record = line_no, _parse_header(line, line_no)
+                    samples = array("d")  # 8 bytes a sample, not a float object
+            elif not line:
+                if not samples:
+                    raise ValueError(f"line {header_no}: signal block has no samples")
+                signals.append(RawSignal(np.array(samples), *record))
+                header_no = 0
+            elif "," in line:
+                raise ValueError(f"line {line_no}: expected one sample value, got {line!r}")
+            else:
+                samples.append(_parse_float(line, line_no, "sample"))
         if not signals:
             raise ValueError("no signal blocks found")
         return signals

@@ -679,11 +679,11 @@ def test_writer_that_fails_never_removes_a_device(monkeypatch, forked):
     assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
-# From the first full chunk on, with several usable CPUs, the reader's walk
-# sends each chunk's sample text to one of W forked children; any doubt
-# reads the file again with the serial loop, which these tests call directly.
+# From the first full chunk on, with several usable CPUs, the reader's fast walk
+# sends each chunk's sample text to one of W forked children; any doubt reads
+# the file again with the line loop, which these tests call directly.
 def serial_records(path):
-    return qdiag.data._read_signals(path, None)
+    return qdiag.data._read_lines(path)
 
 
 def assert_same_records(got, want):
@@ -719,7 +719,7 @@ def test_pooled_reader_matches_the_serial_loop(tmp_path, monkeypatch, forked, cp
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("blank_no", [CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
                                       2 * CHUNK + 1, 2 * CHUNK + 2])
 def test_pooled_reader_doubts_a_block_end_of_spaces(tmp_path, monkeypatch, forked, cpus,
@@ -733,7 +733,7 @@ def test_pooled_reader_doubts_a_block_end_of_spaces(tmp_path, monkeypatch, forke
     assert (a.label, b.label, b.sample_rate_hz) == ("baseline", "inner_ring", 48828.0)
     assert a.samples.tolist() == [float(v) for v in first]
     assert b.samples.tolist() == [float(v) for v in second]
-    assert len(forked) == cpus
+    assert len(forked) == (cpus if cpus > 1 else 0)
     assert_no_child_left()
 
 
@@ -773,23 +773,81 @@ def test_pooled_reader_reports_the_first_defect_not_the_walks(tmp_path, monkeypa
     assert_no_child_left()
 
 
-@pytest.mark.parametrize("when", ["at_once", "after_one_text"])
-def test_pooled_reader_child_that_dies_changes_nothing(tmp_path, monkeypatch, forked, when):
-    path = tmp_path / "signals.csv"
-    write_records(path, [CHUNK + 1, 3, 3 * CHUNK + 7, 10])
-    parse_texts = qdiag.data._parse_texts
+def make_second_child_die(monkeypatch, forked, when):
+    """The second forked child `os._exit`s before it answers: at once, or after
+    taking its first message."""
+    serve = qdiag.data._serve
 
-    def dying(source, answers, inherited):
+    def dying(work, source, answers, inherited):
         if len(forked) == 2:  # the second child: the fixture's list ends in its 0
             if when == "after_one_text":
                 qdiag.data._receive(source)
             os._exit(1)
-        parse_texts(source, answers, inherited)
-    monkeypatch.setattr(qdiag.data, "_parse_texts", dying)
+        serve(work, source, answers, inherited)
+    monkeypatch.setattr(qdiag.data, "_serve", dying)
     monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("when", ["at_once", "after_one_text"])
+def test_pooled_reader_child_that_dies_changes_nothing(tmp_path, monkeypatch, forked, when):
+    path = tmp_path / "signals.csv"
+    write_records(path, [CHUNK + 1, 3, 3 * CHUNK + 7, 10])
+    make_second_child_die(monkeypatch, forked, when)
     assert_same_records(load_signals_csv(path), serial_records(path))
     assert len(forked) == 2
     assert_no_child_left()
+
+
+@pytest.mark.parametrize("when", ["at_once", "after_one_text"])
+def test_pooled_writer_child_that_dies_is_one_oserror(tmp_path, monkeypatch, forked, when):
+    """Of the three chunks, the second child owns the second: record 1's last."""
+    make_second_child_die(monkeypatch, forked, when)
+    path = tmp_path / "signals.csv"
+    signals = [make_signal(np.ones(CHUNK + 9)), make_signal(np.ones(CHUNK), label="inner_ring")]
+    with pytest.raises(OSError) as info:
+        save_signals_csv(signals, path)
+    assert str(info.value) == "record 1: the child process formatting it ended early"
+    assert not path.exists()
+    assert len(forked) == 2
+    assert_no_child_left()
+
+
+# A seeded fuzz of small edits to valid files: the fast walk, pooled or not,
+# returns the line loop's records or falls back to its exact message.
+FUZZ_SIZES = [[5, 7], [CHUNK + 3, 5], [CHUNK - 1, CHUNK + 2], [2 * CHUNK, 4]]
+FUZZ_LINES = ["abc", "nan", "inf", "1,2", " 1.5 ", "  ", "\t", "", "1_0", "+2", "0x10",
+              HEADER, "1e400", "1.0\xe9", "\x0c"]
+
+
+def records_or_message(read, path):
+    try:
+        return read(path)
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_fast_reader_matches_the_line_loop(tmp_path, monkeypatch, forked, case):
+    rng = np.random.default_rng(1000 + case)
+    sizes = FUZZ_SIZES[rng.integers(len(FUZZ_SIZES))]
+    separator, newline = rng.choice(["", "  ", "\t"]), rng.choice(["\n", "\r\n"])
+    first, second = (sample_lines(n, seed=case + k) for k, n in enumerate(sizes))
+    lines = [v.rstrip("\n") for v in [HEADER, *first, separator, "inner_ring,0.0,48828.0",
+                                        *second]]
+    for at in rng.choice(len(lines), size=rng.integers(1, 3), replace=False):
+        lines[at] = FUZZ_LINES[rng.integers(len(FUZZ_LINES))]
+    text = newline.join(lines) + (newline if rng.integers(2) else "")
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode("latin-1"))
+    want = records_or_message(qdiag.data._read_lines, path)
+    for cpus in (1, 2):
+        monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+        got = records_or_message(load_signals_csv, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_records(got, want)
+        assert_no_child_left()
 
 
 SYNTH_SCRIPT = """
