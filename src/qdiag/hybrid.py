@@ -29,6 +29,7 @@ from .data import (
     open_input,
 )
 from .nn import (
+    PROB_FLOOR,
     DenseLayer,
     MlpModel,
     _forward,
@@ -260,11 +261,10 @@ def evaluate(model: HybridModel, features, labels) -> EvalResult:
     normed = apply_normalizer(model.normalizer, features)
     if normed.shape[0] == 0:
         raise ValueError("evaluate needs at least one row")
-    return _score(model, normed, np.asarray(labels))
+    return _score(_forward_normed(model, normed), np.asarray(labels))
 
 
-def _score(model: HybridModel, normed: np.ndarray, labels: np.ndarray) -> EvalResult:
-    probs = _forward_normed(model, normed)
+def _score(probs: np.ndarray, labels: np.ndarray) -> EvalResult:
     loss = cross_entropy(probs, labels)  # checks the labels before they index
     predicted = np.argmax(probs, axis=1)
     confusion = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
@@ -281,7 +281,8 @@ def _check_split_classes(labels: np.ndarray, side: str) -> None:
 
 
 class TrainingDiverged(ValueError):
-    """A run whose parameters or loss left the finite range."""
+    """A run whose parameters or loss left the finite range, or that ended
+    saturated and worse than it started."""
 
 
 def _diverged(epoch: int, config: TrainConfig) -> TrainingDiverged:
@@ -315,26 +316,39 @@ def train_run(
     curve_acc = np.empty(config.epochs + 1)
     curve_loss = np.empty(config.epochs + 1)
     normed = apply_normalizer(normalizer, train_x)
-    start_eval = _score(model, normed, train_y)
+    start_eval = _score(_forward_normed(model, normed), train_y)
     curve_acc[0], curve_loss[0] = start_eval.accuracy, start_eval.loss
+    grad = np.empty_like(theta)
 
     # Too large a learning rate overflows in the network; that is reported
     # once, as divergence, instead of as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(n_train)
+            xs, ys = normed[order], train_y[order]  # each batch is a slice of these
             for lo in range(0, n_train, config.batch_size):
-                pick = order[lo : lo + config.batch_size]
-                grads, _ = _gradients(model, normed[pick], train_y[pick])
-                grad = np.concatenate([g.ravel() for g in grads])
+                hi = lo + config.batch_size
+                grads, _ = _gradients(model, xs[lo:hi], ys[lo:hi])
+                np.concatenate([g.ravel() for g in grads], out=grad)
                 updated, opt_state = adam_step(theta, grad, opt_state)
                 if not np.isfinite(updated).all():
                     raise _diverged(epoch, config)
                 theta[:] = updated
-            epoch_eval = _score(model, normed, train_y)
+            probs = _forward_normed(model, normed)
+            epoch_eval = _score(probs, train_y)
             if not math.isfinite(epoch_eval.loss):
                 raise _diverged(epoch, config)
             curve_acc[epoch], curve_loss[epoch] = epoch_eval.accuracy, epoch_eval.loss
+    # Steps far too long for the loss surface end with every train row so
+    # sure of one class that a wrong one costs the floored maximum loss, and
+    # a loss above the untrained model's.
+    if curve_loss[-1] > curve_loss[0] and (probs.max(axis=1) >= 1.0 - PROB_FLOOR).all():
+        raise TrainingDiverged(
+            f"training saturated at learning rate {config.learning_rate!r}: after "
+            f"epoch {config.epochs} every train row has a class at probability "
+            f"1 - {PROB_FLOOR:g} or more, and the train loss rose from "
+            f"{curve_loss[0]:.3f} to {curve_loss[-1]:.3f}"
+        )
 
     test_eval = evaluate(model, test_x, test_y)
     metrics = RunMetrics(

@@ -110,10 +110,10 @@ def _check_labels(labels, rows: int, classes: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (rows,):
         raise ValueError(f"expected {rows} labels, got shape {labels.shape}")
-    if not np.issubdtype(labels.dtype, np.integer):
+    if labels.dtype.kind not in "iu":  # signed or unsigned integers, not bool
         raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    outside = (labels < 0) | (labels >= classes)
-    if outside.any():
+    if labels.size and (labels.min() < 0 or labels.max() >= classes):
+        outside = (labels < 0) | (labels >= classes)
         raise ValueError(f"label {labels[outside][0]} out of range for {classes} classes")
     return labels
 

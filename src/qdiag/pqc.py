@@ -43,6 +43,13 @@ RY_ANGLE, RX_ANGLE, RZ_ANGLE = 0, 1, 2
 
 PARAM_SHIFT = np.pi / 2.0
 
+# Added to an angle table, the six shifted tables of the parameter-shift rule:
+# row 2k adds +PARAM_SHIFT to column k, row 2k + 1 adds -PARAM_SHIFT.  The
+# other entries are -0.0, because x + -0.0 is x for every x, signed zeros too.
+_SHIFTS = np.full((6, 1, 3), -0.0)
+_SHIFTS[np.arange(6), 0, np.arange(6) // 2] = [PARAM_SHIFT, -PARAM_SHIFT] * 3
+_SHIFTS.setflags(write=False)
+
 
 @dataclass
 class PqcParams:
@@ -174,17 +181,18 @@ def pqc_jacobian_batch(batch, params: PqcParams) -> np.ndarray:
     Returns shape (batch, n, 3).  Because expectation i depends only on
     row i of the angle table, shifting one column across every row at once
     yields all diagonal entries for that column in a single batched pass of
-    the parameter-shift rule.  One working angle table takes each shifted
-    column in turn: six validated readout passes in all.
+    the parameter-shift rule.  One add builds the six shifted tables, and a
+    working copy of the parameters takes each in turn: six validated
+    readout passes in all.
     """
     work = params.copy()  # checked once: a finite angle +- pi/2 stays finite
+    tables = work.angles + _SHIFTS
     jac = None
     for k in range(3):
-        work.angles[:, k] = params.angles[:, k] + PARAM_SHIFT
+        work.angles = tables[2 * k]
         plus = pqc_expectations_batch(batch, work)
         if jac is None:  # allocated once the first pass has checked the batch
             jac = np.empty(plus.shape + (3,))
-        work.angles[:, k] = params.angles[:, k] - PARAM_SHIFT
+        work.angles = tables[2 * k + 1]
         np.subtract(plus, pqc_expectations_batch(batch, work), out=jac[:, :, k])
-        work.angles[:, k] = params.angles[:, k]
     return np.divide(jac, 2.0, out=jac)

@@ -347,6 +347,23 @@ def test_train_bad_learning_rate_is_one_error_line(tmp_path, capsys, lr):
     assert not (tmp_path / "out").exists()  # a failed run writes nothing
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lr, epochs, rc", [("1e3", 1, 1), ("1e3", 5, 1), ("1", 1, 0)])
+def test_train_that_saturates_is_one_error_line(tmp_path, capsys, lr, epochs, rc):
+    features_path = tmp_path / "features.csv"
+    blob_features_csv(features_path)
+    argv = ["train", "--in", str(features_path), "--out", str(tmp_path / "out"),
+            "--runs", "1", "--epochs", str(epochs), "--lr", lr]
+    assert main(argv) == rc
+    err = capsys.readouterr().err.splitlines()
+    if rc:
+        assert len(err) == 1 and err[0].startswith("error: training saturated at "
+                                                   "learning rate 1000.0: "), err
+        assert not (tmp_path / "out").exists()
+    else:
+        assert err == [] and (tmp_path / "out" / "model.json").exists()
+
+
 def one_row_baseline(features, labels):
     keep = np.flatnonzero(labels != 0)
     return np.vstack([features[:1], features[keep]]), np.concatenate([[0], labels[keep]])

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from qdiag.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PROB_FLOOR,
     AdamState,
     DenseLayer,
     MlpModel,
+    _check_labels,
     adam_init,
     adam_step,
     cross_entropy,
@@ -135,6 +139,22 @@ def test_cross_entropy_floor_caps_the_loss():
 def test_cross_entropy_label_range():
     with pytest.raises(ValueError, match="label"):
         cross_entropy(np.array([0.5, 0.5]), 2)
+
+
+def test_label_check_takes_any_integer_dtype_and_names_the_first_bad_label():
+    for dtype in (np.uint8, np.int64):
+        labels = np.array([2, 0, 1], dtype=dtype)
+        assert _check_labels(labels, 3, 3) is labels
+    assert _check_labels(np.empty(0, dtype=np.int64), 0, 3).shape == (0,)
+    for labels in (np.array([True, False]), np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match=f"^labels must be integers, got dtype "
+                                             f"{labels.dtype}$"):
+            _check_labels(labels, 2, 3)
+    for labels, first in (([0, 5, -1, 7], 5), ([1, -2, 3], -2)):
+        with pytest.raises(ValueError, match=f"^label {first} out of range for 3 classes$"):
+            _check_labels(np.array(labels), len(labels), 3)
+    with pytest.raises(ValueError, match=f"^label {2**63} out of range"):
+        _check_labels(np.array([0, 2**63], dtype=np.uint64), 2, 3)
 
 
 # --- model construction ---------------------------------------------------
@@ -366,6 +386,34 @@ def test_adam_is_deterministic_and_functional():
     assert np.array_equal(params, before)  # inputs untouched
     assert not state.m.any() and not state.v.any() and state.step_count == 0
     assert s1.step_count == 1
+
+
+def textbook_adam(params, grads, m, v, t, lr):
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
+
+
+def test_adam_step_is_the_textbook_expression_bit_for_bit():
+    rng = np.random.default_rng(23)
+    params = rng.normal(size=8)
+    state = adam_init(params, lr=0.03)
+    m, v = state.m, state.v
+    for t in range(1, 61):
+        grads = rng.normal(size=8) * 10.0 ** rng.integers(-8, 9)
+        # Zero, the smallest subnormal and huge gradients, in turn per slot.
+        grads[t % 8] = (0.0, 5e-324, -5e-324, 1e150, -1e150)[t % 5]
+        inputs = [a.copy() for a in (params, grads, state.m, state.v)]
+        want, m, v = textbook_adam(params, grads, m, v, t, state.lr)
+        got, new_state = adam_step(params, grads, state)
+        for a, before in zip((params, grads, state.m, state.v), inputs):
+            assert a.tobytes() == before.tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert new_state.m.tobytes() == m.tobytes() and new_state.v.tobytes() == v.tobytes()
+        assert new_state.step_count == t and new_state.lr == state.lr
+        params, state = got, new_state
 
 
 def test_adam_validation():

@@ -17,6 +17,7 @@ from qdiag.pqc import (
     RX_ANGLE,
     RY_ANGLE,
     RZ_ANGLE,
+    _SHIFTS,
     PqcParams,
     pqc_expectations_batch,
     pqc_forward,
@@ -259,6 +260,19 @@ def test_batch_jacobian_leaves_its_input_and_matches_fresh_tables():
         assert not np.shares_memory(jac, params.angles) and not np.shares_memory(jac, batch)
         assert jac.shape == (rows, n, 3)
         assert np.array_equal(jac, fresh_table_jacobian(batch, params))
+
+
+def test_shift_tables_are_read_only_and_jacobians_share_no_memory():
+    assert not _SHIFTS.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        _SHIFTS[0, 0, 0] = 0.0
+    rng = np.random.default_rng(103)
+    params = random_pqc_params(5, rng)
+    batch = rng.uniform(0.0, 1.0, size=(9, 5))
+    first, second = pqc_jacobian_batch(batch, params), pqc_jacobian_batch(batch, params)
+    assert np.array_equal(first, second)
+    for a, b in ((first, second), (first, params.angles), (second, params.angles)):
+        assert not np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("fn, tail", [(pqc_expectations_batch, ()), (pqc_jacobian_batch, (3,))])
