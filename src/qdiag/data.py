@@ -15,7 +15,6 @@ data comes in through a plain CSV bridge documented in the README.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -25,6 +24,8 @@ from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from .nn import _check_labels
 
 LABELS = ("baseline", "outer_ring", "inner_ring")
 LABEL_TO_INDEX = {name: i for i, name in enumerate(LABELS)}
@@ -121,20 +122,10 @@ class Dataset:
 
     def __post_init__(self) -> None:
         self.features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if labels.shape != (self.features.shape[0],):
-            raise ValueError("one label per feature row required")
-        # The label rule of the loss in `nn`, in its words, before the cast.
-        if not np.issubdtype(labels.dtype, np.integer):
-            raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-        outside = (labels < 0) | (labels >= len(LABELS))
-        if outside.any():
-            raise ValueError(
-                f"label {labels[outside][0]} out of range for {len(LABELS)} classes"
-            )
-        self.labels = labels.astype(np.int64)
+        # The label rule of the loss, checked before the cast.
+        self.labels = _check_labels(self.labels, len(self.features), len(LABELS)).astype(np.int64)
         if self.train_mask is not None:
             self.train_mask = np.asarray(self.train_mask, dtype=bool)
             if self.train_mask.shape != self.labels.shape:
@@ -498,54 +489,44 @@ def _serve(work, source, answers, inherited: list) -> None:
         os._exit(0)  # flushes no inherited buffer and returns to no caller
 
 
-class _Pool:
-    """`work` on each message: in W forked children, or in-process with W = 1.
-
-    The first message forks every child.  Child k takes messages k, k + W, ...;
-    its answer is read before it gets another, so answers come in message order
-    and no two full pipes wait on each other."""
-
-    def __init__(self, work, workers: int):
-        self.work, self.workers, self.sent = work, workers, 0
-        self.pids, self.pipes, self.waiting = [], [], []
-
-    def send(self, parts: list, then) -> None:
-        """`parts` as one message; `then(answer)` runs in message order, with None
-        for a child that ended without an answer."""
-        if self.workers == 1:
-            return then(self.work(b"".join(parts)))
-        while len(self.pids) < self.workers:
-            (r, w), (r2, w2) = os.pipe(), os.pipe()
-            self.pipes += [open(w, "wb"), open(r2, "rb")]
-            with open(r, "rb") as source, open(w2, "wb") as answers:
-                if (pid := os.fork()) == 0:
-                    _serve(self.work, source, answers, self.pipes)
-            self.pids.append(pid)
-        k, self.sent = self.sent % self.workers, self.sent + 1
-        # Child k's last answer is read before its next message and handled after,
-        # so the child works while the parent handles.
-        handle = self._read() if len(self.waiting) == self.workers else None
-        with suppress(BrokenPipeError):  # a child that ended reads short, as None
-            _send(self.pipes[2 * k], parts)
-        self.waiting.append((self.pipes[2 * k + 1], then))
-        if handle:
-            handle()
-
-    def _read(self):
-        """The oldest answer still out, read now and handed to its `then` later."""
-        pipe, then = self.waiting.pop(0)
-        return functools.partial(then, _receive(pipe))
-
-    def drain(self) -> None:
-        while self.waiting:
-            self._read()()
-
-    def close(self) -> None:
-        """Close every pipe, which ends each child, and wait for every child."""
-        for pipe in self.pipes:
+def _ordered(work, messages, workers: int):
+    """`(tag, work(message))` for each `(tag, parts)` of `messages`, in message
+    order, a message being its `parts` joined: in-process with W = 1, else in W
+    children forked at the first message.  Child k takes messages k, k + W, ...;
+    its last answer is read before its next message is sent and yielded after, so
+    no two full pipes wait on each other and the child works while the caller
+    handles.  A child that ended without an answer gives None.  Closing the
+    generator, or a raise in it, closes every pipe and waits for every child."""
+    if workers == 1:
+        for tag, parts in messages:
+            yield tag, work(b"".join(parts))
+        return
+    pids, pipes, waiting, sent = [], [], [], 0
+    try:
+        for tag, parts in messages:
+            while len(pids) < workers:
+                (r, w), (r2, w2) = os.pipe(), os.pipe()
+                pipes += [open(w, "wb"), open(r2, "rb")]
+                with open(r, "rb") as source, open(w2, "wb") as answers:
+                    if (pid := os.fork()) == 0:
+                        _serve(work, source, answers, pipes)
+                pids.append(pid)
+            k, sent, ready = sent % workers, sent + 1, []
+            if len(waiting) == workers:  # child k's last answer
+                done, pipe = waiting.pop(0)
+                ready.append((done, _receive(pipe)))
+            with suppress(BrokenPipeError):  # a child that ended reads short, as None
+                _send(pipes[2 * k], parts)
+            del parts  # sent: not held while the caller handles and the next is made
+            waiting.append((tag, pipes[2 * k + 1]))
+            yield from ready
+        for tag, pipe in waiting:
+            yield tag, _receive(pipe)
+    finally:
+        for pipe in pipes:  # a closed pipe ends its child
             with suppress(OSError):
                 pipe.close()
-        for pid in self.pids:
+        for pid in pids:
             os.waitpid(pid, 0)
 
 
@@ -559,24 +540,22 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
                              f"finite, got {float(signal.samples[bad[0]])!r}")
     chunks = [(i, start, s.samples[start : start + CHUNK]) for i, s in enumerate(signals)
               for start in range(0, s.samples.size, CHUNK)]
-    pool = _Pool(lambda data: _chunk_text(np.frombuffer(data)).encode("ascii"),
-                 min(_usable_cpus(), len(chunks)))
+    # Each chunk is made contiguous as it is sent: a strided view cannot go down a pipe.
+    texts = _ordered(lambda data: _chunk_text(np.frombuffer(data)).encode("ascii"),
+                     (((i, start), [np.ascontiguousarray(c)]) for i, start, c in chunks),
+                     min(_usable_cpus(), len(chunks)))
     fh = open(path, "wb")
     regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # never remove a device
-
-    def write(i: int, start: int, text: bytes | None) -> None:
-        if text is None:
-            raise OSError(f"record {i + 1}: the child process formatting it ended early")
-        if start == 0:  # a record begins: a blank line, then its header
-            s, gap = signals[i], "\n" if i else ""
-            fh.write(f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n".encode("ascii"))
-        fh.write(text)
-
     try:
-        with fh, closing(pool):
-            for i, start, chunk in chunks:  # a strided view cannot go down a pipe
-                pool.send([np.ascontiguousarray(chunk)], functools.partial(write, i, start))
-            pool.drain()
+        with fh, closing(texts):
+            for (i, start), text in texts:
+                if text is None:
+                    raise OSError(f"record {i + 1}: the child process formatting it ended early")
+                if start == 0:  # a record begins: a blank line, then its header
+                    s, gap = signals[i], "\n" if i else ""
+                    header = f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
+                    fh.write(header.encode("ascii"))
+                fh.write(text)
     except BaseException:
         if regular:  # a failed write leaves no partial file
             with suppress(OSError):
@@ -629,53 +608,59 @@ def _parse_text(data: bytearray) -> np.ndarray:
     return _parse_samples(lines if lines[-1] else lines[:-1])
 
 
-def _take(signals: list, pieces: list, record, values) -> None:
-    """The one record assembly, whoever parsed the chunk: its values join the
-    record's `pieces`, and the block's last chunk (`record` given) ends the record."""
-    if values is None:
-        raise ValueError("a child refused its sample text or died")
-    pieces.append(np.frombuffer(values))
-    if record is not None:
-        signals.append(RawSignal(np.concatenate(pieces), *record))
-
-
 def load_signals_csv(path) -> list[RawSignal]:
     """Signal records, read by the fast walk.  Any doubt in it (a `ValueError` or
     an `OSError`) reads the file again with `_read_lines`, which words every error."""
-    pool = _Pool(_parse_text, _usable_cpus())
-    with suppress(ValueError, OSError), closing(pool):
-        return _read_fast(path, pool)
+    with suppress(ValueError, OSError):
+        return _read_fast(path)
     return _read_lines(path)
 
 
-def _read_fast(path, pool: _Pool) -> list[RawSignal]:
-    """A block ends only at a line that is exactly "\\n" or at the end of the file,
-    and each chunk's samples take one numpy parse: in the pool's children from the
-    first full chunk on when it has several, else here."""
+def _chunks(fh):
+    """The fast walk: each block's sample lines, CHUNK at a time, as `(record,
+    chunk, end)` with the samples in `chunk[:end]` and `record`, the block's
+    header, given with its last chunk only.  A block ends only at a line that is
+    exactly "\\n" or at the end of the file."""
+    lines = fh
+    while (line := next(lines, None)) is not None:
+        if line == "\n":
+            continue
+        record, end = _parse_header(line.strip(), 0), CHUNK  # the line loop words any error
+        while end == CHUNK:  # a short chunk ends the block
+            chunk = list(itertools.islice(lines, CHUNK))
+            end = chunk.index("\n") if "\n" in chunk else len(chunk)
+            yield (record if end < CHUNK else None), chunk, end
+            if end < len(chunk):  # chunk[end] is the blank line that ends the block
+                # The rest is shorter than a chunk, so the next block's
+                # first chunk drains it before it reads on from the file.
+                lines = itertools.chain(chunk[end + 1 :], fh)
+
+
+def _read_fast(path) -> list[RawSignal]:
+    """Each chunk's samples take one numpy parse: here, or in the children of
+    one ordered map when the file may hold a full chunk (a full chunk of the
+    shortest sample lines, "0\\n", is 2 * CHUNK bytes) and several CPUs are
+    usable."""
     signals: list[RawSignal] = []
     with open_input(path) as fh:
-        lines, pooled = fh, False
-        while (line := next(lines, None)) is not None:
-            if line == "\n":
-                continue
-            record = _parse_header(line.strip(), 0)  # the line loop words any error
-            pieces, end = [], CHUNK
-            while end == CHUNK:  # a short chunk ends the block
-                chunk = list(itertools.islice(lines, CHUNK))
-                end = chunk.index("\n") if "\n" in chunk else len(chunk)
-                take = functools.partial(_take, signals, pieces,
-                                         record if end < CHUNK else None)
-                pooled = pooled or (pool.workers > 1 and len(chunk) == CHUNK)
-                if pooled:
-                    pool.send(["".join(chunk[i : min(i + TEXT_SLICE, end)]).encode("ascii")
-                               for i in range(0, end, TEXT_SLICE)], take)  # no joined str
-                else:
-                    take(_parse_samples(chunk[:end]))
-                if end < len(chunk):  # chunk[end] is the blank line that ends the block
-                    # The rest is shorter than a chunk, so the next block's
-                    # first chunk drains it before it reads on from the file.
-                    lines = itertools.chain(chunk[end + 1 :], fh)
-        pool.drain()
+        walk = _chunks(fh)
+        workers = _usable_cpus() if os.fstat(fh.fileno()).st_size >= 2 * CHUNK else 1
+        if workers == 1:
+            parsed = ((record, _parse_samples(chunk[:end])) for record, chunk, end in walk)
+        else:
+            texts = ((record, ["".join(chunk[i : min(i + TEXT_SLICE, end)]).encode("ascii")
+                               for i in range(0, end, TEXT_SLICE)])  # no joined str
+                     for record, chunk, end in walk)
+            parsed = _ordered(_parse_text, texts, workers)
+        pieces = []
+        with closing(parsed):
+            for record, values in parsed:
+                if values is None:
+                    raise ValueError("a child refused its sample text or died")
+                pieces.append(np.frombuffer(values))
+                if record is not None:  # the block's last chunk ends the record
+                    signals.append(RawSignal(np.concatenate(pieces), *record))
+                    pieces = []
         if not signals:
             raise ValueError("no signal blocks found")
         return signals

@@ -32,6 +32,10 @@ PQC_TOL = 1e-6
 RZ_NULL_TOL = 1e-12
 MLP_TOL = 1e-5
 HYBRID_TOL = 1e-4
+# Random draws per check: circuits, networks and hybrid models.
+PQC_DRAWS = 20
+MLP_DRAWS = 5
+HYBRID_DRAWS = 3
 
 
 @dataclass(frozen=True)
@@ -45,10 +49,10 @@ class CheckResult:
         return self.worst < self.tolerance
 
 
-def _check_pqc(rng: np.random.Generator, draws: int = 20) -> tuple[float, float]:
+def _check_pqc(rng: np.random.Generator) -> tuple[float, float]:
     """Max shift-vs-differences gap and max Rz-angle gradient magnitude."""
     worst_gap, worst_rz = 0.0, 0.0
-    for _ in range(draws):
+    for _ in range(PQC_DRAWS):
         n = int(rng.integers(1, 6))
         params = random_pqc_params(n, rng)
         x = rng.uniform(0.0, 1.0, size=n)
@@ -85,14 +89,14 @@ def _central_differences(loss, arrays, step: float) -> list[np.ndarray]:
     return numeric
 
 
-def _check_mlp(rng: np.random.Generator, draws: int = 5) -> float:
+def _check_mlp(rng: np.random.Generator) -> float:
     """Max relative error of analytic network gradients vs differences.
 
     The denominator is floored so finite-difference noise on near-zero
     components does not masquerade as a real mismatch.
     """
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(MLP_DRAWS):
         model = init_mlp((5, 10, 3), seed=int(rng.integers(2**31 - 1)))
         batch = rng.normal(0.0, 1.0, size=(3, 5))
         labels = rng.integers(0, 3, size=3)
@@ -126,11 +130,9 @@ def numeric_hybrid_gradients(
     )
 
 
-def _check_hybrid(
-    rng: np.random.Generator, draws: int = 3, corrupt: bool = False
-) -> float:
+def _check_hybrid(rng: np.random.Generator, corrupt: bool = False) -> float:
     worst = 0.0
-    for d in range(draws):
+    for d in range(HYBRID_DRAWS):
         bounds = np.sort(rng.normal(0.0, 2.0, size=(2, 5)), axis=0)
         normalizer = NormalizerParams(bounds[0], bounds[1] + 0.5)
         model = new_hybrid_model(normalizer, seed=int(rng.integers(2**31 - 1)))

@@ -719,6 +719,22 @@ def test_pooled_reader_matches_the_serial_loop(tmp_path, monkeypatch, forked, cp
     assert_no_child_left()
 
 
+def test_reader_forks_by_file_size_not_by_chunk_length(tmp_path, monkeypatch, forked):
+    """A file of 2 * CHUNK bytes or more goes to the children even when it holds
+    no full chunk: here fewer than CHUNK lines in all."""
+    path = tmp_path / "short_blocks.csv"
+    write_records(path, [1500] * 40)
+    assert path.stat().st_size > 2 * CHUNK
+    assert path.read_bytes().count(b"\n") < CHUNK
+    want = serial_records(path)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
+        before = len(forked)
+        assert_same_records(load_signals_csv(path), want)
+        assert len(forked) - before == (cpus if cpus > 1 else 0)
+        assert_no_child_left()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("blank_no", [CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2,
                                       2 * CHUNK + 1, 2 * CHUNK + 2])
