@@ -433,6 +433,10 @@ def synth_generate(config: SynthConfig, seed: int = 0) -> list[RawSignal]:
 # Sample lines written or parsed at a time: the signal text held in memory.
 CHUNK = 65536
 TEXT_SLICE = 4096  # sample lines joined at a time on their way to a parsing child
+# Signal bytes from which the reader forks.  On 2 vCPUs, forked parsing lost to the
+# in-process parse on every file shape timed below this size, and a file of many
+# short blocks broke even at it.
+FORK_SIZE = 1_200_000
 FEATURE_BLOCK = 64  # feature lines parsed at a time, which bounds the cells held
 
 
@@ -519,7 +523,8 @@ def _ordered(work, messages, workers: int):
                 _send(pipes[2 * k], parts)
             del parts  # sent: not held while the caller handles and the next is made
             waiting.append((tag, pipes[2 * k + 1]))
-            yield from ready
+            if ready:  # popped: not held while the next answer is read
+                yield ready.pop()
         for tag, pipe in waiting:
             yield tag, _receive(pipe)
     finally:
@@ -556,6 +561,7 @@ def save_signals_csv(signals: list[RawSignal], path) -> None:
                     header = f"{gap}{s.label},{s.load_lbs!r},{s.sample_rate_hz!r}\n"
                     fh.write(header.encode("ascii"))
                 fh.write(text)
+                del text  # not held while the next chunk is made and read
     except BaseException:
         if regular:  # a failed write leaves no partial file
             with suppress(OSError):
@@ -638,13 +644,14 @@ def _chunks(fh):
 
 def _read_fast(path) -> list[RawSignal]:
     """Each chunk's samples take one numpy parse: here, or in the children of
-    one ordered map when the file may hold a full chunk (a full chunk of the
-    shortest sample lines, "0\\n", is 2 * CHUNK bytes) and several CPUs are
-    usable."""
+    one ordered map when several CPUs are usable and the input is a file of
+    FORK_SIZE bytes or more, or of unknown size (a pipe)."""
     signals: list[RawSignal] = []
     with open_input(path) as fh:
         walk = _chunks(fh)
-        workers = _usable_cpus() if os.fstat(fh.fileno()).st_size >= 2 * CHUNK else 1
+        st = os.fstat(fh.fileno())
+        large = st.st_size >= FORK_SIZE or not stat.S_ISREG(st.st_mode)
+        workers = _usable_cpus() if large else 1
         if workers == 1:
             parsed = ((record, _parse_samples(chunk[:end])) for record, chunk, end in walk)
         else:

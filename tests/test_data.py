@@ -16,6 +16,7 @@ import qdiag.data
 from qdiag.data import (
     AMPLITUDE_JITTER,
     CHUNK,
+    FORK_SIZE,
     LABELS,
     SHAFT_AMPLITUDE,
     Dataset,
@@ -679,9 +680,9 @@ def test_writer_that_fails_never_removes_a_device(monkeypatch, forked):
     assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
-# From the first full chunk on, with several usable CPUs, the reader's fast walk
-# sends each chunk's sample text to one of W forked children; any doubt reads
-# the file again with the line loop, which these tests call directly.
+# With several usable CPUs, and a file of FORK_SIZE bytes or more or a pipe, the
+# reader's fast walk sends each chunk's sample text to one of W forked children;
+# any doubt reads the file again with the line loop, which these tests call directly.
 def serial_records(path):
     return qdiag.data._read_lines(path)
 
@@ -719,20 +720,40 @@ def test_pooled_reader_matches_the_serial_loop(tmp_path, monkeypatch, forked, cp
     assert_no_child_left()
 
 
-def test_reader_forks_by_file_size_not_by_chunk_length(tmp_path, monkeypatch, forked):
-    """A file of 2 * CHUNK bytes or more goes to the children even when it holds
-    no full chunk: here fewer than CHUNK lines in all."""
-    path = tmp_path / "short_blocks.csv"
-    write_records(path, [1500] * 40)
-    assert path.stat().st_size > 2 * CHUNK
-    assert path.read_bytes().count(b"\n") < CHUNK
+def assert_forks_by_cpus(path, monkeypatch, forked, forks):
+    """`path` reads as the line loop reads it, forking `forks(cpus)` children."""
     want = serial_records(path)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: cpus)
         before = len(forked)
         assert_same_records(load_signals_csv(path), want)
-        assert len(forked) - before == (cpus if cpus > 1 else 0)
+        assert len(forked) - before == forks(cpus)
         assert_no_child_left()
+
+
+def test_reader_forks_by_file_size_not_by_line_count(tmp_path, monkeypatch, forked):
+    """A file of FORK_SIZE bytes goes to the children though it holds fewer than
+    CHUNK lines; one of more than CHUNK short lines is parsed in-process."""
+    path = tmp_path / "short_blocks.csv"
+    write_records(path, [1500] * 42)
+    assert path.stat().st_size >= FORK_SIZE
+    assert path.read_bytes().count(b"\n") < CHUNK
+    assert_forks_by_cpus(path, monkeypatch, forked, lambda cpus: cpus if cpus > 1 else 0)
+    path = tmp_path / "short_lines.csv"
+    path.write_text(HEADER + "\n" + "".join(f"{k % 10}\n" for k in range(2 * CHUNK)))
+    assert path.stat().st_size < FORK_SIZE
+    assert_forks_by_cpus(path, monkeypatch, forked, lambda cpus: 0)
+
+
+def test_reader_forks_for_a_pipe_of_unknown_size(tmp_path, monkeypatch, forked):
+    path = tmp_path / "signals.csv"
+    write_records(path, [5, 3])
+    want = serial_records(path)
+    monkeypatch.setattr(qdiag.data, "_usable_cpus", lambda: 2)
+    with subprocess.Popen(["cat", str(path)], stdout=subprocess.PIPE) as cat:
+        assert_same_records(load_signals_csv(f"/dev/fd/{cat.stdout.fileno()}"), want)
+    assert len(forked) == 2
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
